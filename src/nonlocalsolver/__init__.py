@@ -42,7 +42,6 @@ from .solver import (
     SolverConfig,
     UniformStep,
     check_existence,
-    integrand_eval,
     solve_at,
     solve_many,
 )
@@ -57,7 +56,7 @@ __all__ = [
     "SolutionSample", "SolverConfig", "SpectralBounds", "UniformStep",
     "WeightFunction", "check_existence", "contour_point",
     "gauss_error_bound_analytic", "gauss_error_bound_bv", "gauss_legendre",
-    "integrand_eval", "make_contour", "make_laplacian1d",
+    "make_contour", "make_laplacian1d",
     "make_self_adjoint_contour", "map_to_interval", "mode_reference",
     "nonlocal_integral", "poly_x2_1mx_coefficients", "reference_solution",
     "shifted_axes", "sinc_step_calibrated", "sinc_step_large_t",

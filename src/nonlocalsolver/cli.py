@@ -73,7 +73,7 @@ class RunConfig:
             raise ConfigError(f"key t: expected comma-separated reals, got {raw['t']!r}")
         if not self.ts:
             raise ConfigError("key t: at least one time is required")
-        if any(t < 0 for t in self.ts):
+        if not all(t >= 0 for t in self.ts):
             raise ConfigError("key t: times must be nonnegative")
 
     def _int(self, key, low=None):
@@ -90,8 +90,8 @@ class RunConfig:
             v = float(self.raw[key])
         except ValueError:
             raise ConfigError(f"key {key}: expected a real number, got {self.raw[key]!r}")
-        if positive and not (v > 0):
-            raise ConfigError(f"key {key}: must be positive, got {v}")
+        if positive and not (0 < v < math.inf):
+            raise ConfigError(f"key {key}: must be positive and finite, got {v}")
         return v
 
 
@@ -297,13 +297,7 @@ def run_reproduction(example: int, n: int, N: int):
 
 def run_convergence(n: int, N_list):
     """Error of benchmark 1 at (t=1, x=0.5) for each N in N_list."""
-    t, x = 1.0, 0.5
-    exact = math.exp(-math.pi**2 * t) * math.sin(math.pi * x)
-    rows = []
-    for N in N_list:
-        value = _benchmark1_value(n, N, t, x)
-        rows.append((n, N, t, x, value, abs(value - exact)))
-    return rows
+    return [run_reproduction(1, n, N)[0] for N in N_list]
 
 
 def run_solve(rc: RunConfig):

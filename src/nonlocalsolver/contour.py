@@ -13,26 +13,21 @@ optional inner shift rho1.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class SpectralBounds:
-    """Location of the spectrum: sector with vertex rho0 and half-angle phi.
-
-    resolvent_const is the (optional) constant of the resolvent decay
-    estimate; it is informational and never enters the geometry.
-    """
+    """Location of the spectrum: sector with vertex rho0 and half-angle phi."""
 
     rho0: float
     phi: float = 0.0
-    resolvent_const: float | None = None
 
     def __post_init__(self):
         if not (self.rho0 > 0):
             raise ValueError(f"rho0 must be positive, got {self.rho0}")
         if not (0.0 <= self.phi < math.pi / 2):
             raise ValueError(f"phi must lie in [0, pi/2), got {self.phi}")
-        if self.resolvent_const is not None and not (self.resolvent_const > 0):
-            raise ValueError("resolvent_const must be positive when given")
 
     @property
     def b0(self) -> float:
@@ -54,11 +49,12 @@ class Contour:
 
 @dataclass(frozen=True)
 class PathPoint:
-    """A point z on the contour with its parametric derivative dz."""
+    """Points z on the contour with their parametric derivatives dz; scalars
+    for a scalar zeta, arrays for an array of zeta."""
 
-    z: complex
-    dz: complex
-    zeta: float
+    z: complex | np.ndarray
+    dz: complex | np.ndarray
+    zeta: float | np.ndarray
 
 
 def make_contour(bounds: SpectralBounds, rho1: float = 0.0) -> Contour:
@@ -97,11 +93,11 @@ def make_self_adjoint_contour(rho0: float) -> Contour:
     )
 
 
-def contour_point(c: Contour, zeta: float) -> PathPoint:
-    """Evaluate z(zeta) and z'(zeta) on the integration hyperbola."""
-    ch, sh = math.cosh(zeta), math.sinh(zeta)
-    z = complex(c.a_I * ch, -c.b_I * sh)
-    dz = complex(c.a_I * sh, -c.b_I * ch)
+def contour_point(c: Contour, zeta) -> PathPoint:
+    """Evaluate z(zeta) and z'(zeta) on the integration hyperbola (zeta scalar
+    or array)."""
+    z = c.a_I * np.cosh(zeta) - 1j * c.b_I * np.sinh(zeta)
+    dz = c.a_I * np.sinh(zeta) - 1j * c.b_I * np.cosh(zeta)
     return PathPoint(z=z, dz=dz, zeta=zeta)
 
 

@@ -140,7 +140,7 @@ class Laplacian1D(SectorialOperator):
         return u
 
 
-class SineSpectralOperator(SectorialOperator):
+class SineSpectralOperator(DiagonalOperator):
     """Exact spectral realization of -d2/dx2 on (0,1) with Dirichlet ends.
 
     States are sine-series coefficient vectors (c_1..c_M) in the basis
@@ -148,25 +148,10 @@ class SineSpectralOperator(SectorialOperator):
     """
 
     def __init__(self, modes: int):
-        super().__init__()
         if modes < 1:
             raise ValueError(f"need at least one mode, got {modes}")
+        super().__init__((np.arange(1, modes + 1) * math.pi) ** 2)
         self.modes = modes
-        self.dim = modes
-        k = np.arange(1, modes + 1)
-        self.eigenvalues = (k * math.pi) ** 2
-        self.spectral = SpectralBounds(rho0=math.pi**2, phi=0.0)
-
-    def apply(self, v):
-        return self.eigenvalues * np.asarray(v)
-
-    def _resolvent(self, z, v):
-        gap = np.abs(z - self.eigenvalues)
-        if np.min(gap) < 1e-14 * abs(z):
-            raise NumericalError(
-                f"resolvent nearly singular: z = {z} within 1e-14*|z| of an eigenvalue"
-            )
-        return v / (z - self.eigenvalues)
 
     def evaluate(self, coeffs, x):
         """Evaluate the sine series sum_k c_k sin(k*pi*x) at x."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .operators import DiagonalOperator, SineSpectralOperator
+from .operators import DiagonalOperator
 from .quadrature import WeightFunction
 
 # fixed 10-point panel rule; numpy's own nodes, not the package's
@@ -97,7 +97,7 @@ def reference_solution(op, w: WeightFunction, T: float, u0, t: float) -> np.ndar
     u0 is the coefficient vector in the operator's eigenbasis (for the
     sine-spectral operator: analytic sine coefficients of the initial data).
     """
-    if not isinstance(op, (DiagonalOperator, SineSpectralOperator)):
+    if not isinstance(op, DiagonalOperator):
         raise TypeError(
             f"reference solutions exist only for diagonalizable operators, "
             f"got {type(op).__name__}"

@@ -17,51 +17,12 @@ class GaussRule:
     weights: np.ndarray
 
 
-def _legendre_and_deriv(m, x):
-    """Evaluate P_m and P_m' at the points x via the three-term recurrence."""
-    p0 = np.ones_like(x)
-    p1 = x.copy()
-    for k in range(1, m):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    dp = m * (x * p1 - p0) / (x * x - 1.0)
-    return p1, dp
-
-
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> GaussRule:
-    """Construct the (n+1)-point Gauss-Legendre rule.
-
-    Nodes are the roots of the Legendre polynomial of degree n+1, found by
-    Newton iteration from the Chebyshev-like asymptotic initial guesses
-    cos(pi*(4j+3)/(4m+2)). Rules are cached per order.
-    """
+    """The (n+1)-point Gauss-Legendre rule, nodes ascending; cached per order."""
     if n < 0:
         raise ValueError(f"rule order must be nonnegative, got {n}")
-    m = n + 1
-    if m == 1:
-        return GaussRule(order=0, nodes=np.zeros(1), weights=np.full(1, 2.0))
-    j = np.arange(m)
-    x = np.cos(math.pi * (4 * j + 3) / (4 * m + 2))
-    # The recurrence evaluates P_m with rounding noise that grows roughly
-    # like m^2 * eps, so the residual test scales with the order.
-    tol = max(1e-15, 4e-17 * m * m)
-    for _ in range(100):
-        p, dp = _legendre_and_deriv(m, x)
-        step = p / dp
-        x = x - step
-        if np.max(np.abs(step)) < 1e-16:
-            break
-    else:
-        raise RuntimeError(f"Newton iteration for Gauss nodes failed at n={n}")
-    p, dp = _legendre_and_deriv(m, x)
-    if np.max(np.abs(p)) > tol:
-        raise RuntimeError(
-            f"Gauss node residual {np.max(np.abs(p)):.3e} exceeds {tol:.3e} at n={n}"
-        )
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
-    order_idx = np.argsort(x)
-    nodes = x[order_idx]
-    weights = w[order_idx]
+    nodes, weights = np.polynomial.legendre.leggauss(n + 1)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return GaussRule(order=n, nodes=nodes, weights=weights)
@@ -103,14 +64,15 @@ class WeightFunction:
         return cls("constant", lambda s: np.full_like(s, c), f"const:{c}",
                    sup_hint=abs(c))
 
+    # cos and cos_square both attain |w| = 1 at s = 0
     @classmethod
     def cos(cls):
-        return cls("cos", np.cos, "cos(s)")
+        return cls("cos", np.cos, "cos(s)", sup_hint=1.0)
 
     @classmethod
     def cos_square(cls):
         """w(s) = cos(s^2)."""
-        return cls("cos_square", lambda s: np.cos(s * s), "cos(s^2)")
+        return cls("cos_square", lambda s: np.cos(s * s), "cos(s^2)", sup_hint=1.0)
 
     @classmethod
     def polynomial(cls, coeffs):
@@ -132,9 +94,6 @@ class WeightFunction:
         """
         if self.sup_norm_hint is not None:
             return self.sup_norm_hint, False
-        if self.kind in ("cos", "cos_square"):
-            # both attain |w| = 1 at s = 0
-            return 1.0, False
         s = np.linspace(0.0, T, 2048)
         return float(np.max(np.abs(self(s)))), True
 

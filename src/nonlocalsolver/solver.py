@@ -20,7 +20,6 @@ from .contour import Contour, contour_point, make_contour
 from .errors import ExistenceError, NumericalError
 from .operators import SectorialOperator
 from .quadrature import (
-    GaussRule,
     WeightFunction,
     gauss_legendre,
     nonlocal_integral,
@@ -38,6 +37,10 @@ class UniformStep:
 
     alpha: float | None = None
 
+    def step_size(self, problem, contour, N):
+        alpha = problem.alpha if self.alpha is None else self.alpha
+        return sinc_step_uniform(contour.d1, alpha, N)
+
 
 @dataclass(frozen=True)
 class LargeTStep:
@@ -45,10 +48,16 @@ class LargeTStep:
 
     c1: float = 1.0
 
+    def step_size(self, problem, contour, N):
+        return sinc_step_large_t(N, self.c1)
+
 
 @dataclass(frozen=True)
 class CalibratedStep:
     """Benchmark-calibrated step rule (used by the reproduction commands)."""
+
+    def step_size(self, problem, contour, N):
+        return sinc_step_calibrated(N)
 
 
 @dataclass(frozen=True)
@@ -60,6 +69,9 @@ class FixedStep:
     def __post_init__(self):
         if not (self.h > 0):
             raise ValueError(f"step size must be positive, got {self.h}")
+
+    def step_size(self, problem, contour, N):
+        return self.h
 
 
 @dataclass
@@ -77,8 +89,8 @@ class NonlocalProblem:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if not (self.T > 0):
-            raise ValueError(f"horizon T must be positive, got {self.T}")
+        if not (0.0 < self.T < math.inf):
+            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -86,6 +98,8 @@ class NonlocalProblem:
             raise ValueError(
                 f"u0 length {self.u0.shape} does not match operator dim {self.op.dim}"
             )
+        if not np.all(np.isfinite(self.u0)):
+            raise ValueError("u0 must be finite")
 
 
 @dataclass
@@ -99,6 +113,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.n < 0 or self.N < 0:
             raise ValueError("n and N must be nonnegative")
+        if not hasattr(self.step, "step_size"):
+            raise ValueError(f"unknown step mode {self.step!r}")
 
 
 @dataclass(frozen=True)
@@ -148,40 +164,13 @@ def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionRepo
 def _denominator(problem, rule, z):
     """1 + I_n(z) with a collapse check (z scalar or array)."""
     den = 1.0 + nonlocal_integral(rule, problem.w, problem.T, z)
-    if np.min(np.abs(den)) < 1e-13:
+    # written so that a NaN denominator fails the check too
+    if not np.all(np.abs(den) >= 1e-13):
         raise NumericalError(
-            "denominator 1 + I_n vanished on the contour; "
-            "the solvability condition is violated"
+            "denominator 1 + I_n vanished or is not finite on the contour; "
+            "the solvability condition is violated or w is not finite"
         )
     return den
-
-
-def integrand_eval(problem: NonlocalProblem, contour: Contour, rule: GaussRule,
-                   t: float, zeta: float) -> np.ndarray:
-    """The full contour integrand at parameter zeta, including 1/(2*pi*i).
-
-    Vector-valued: exp(-z t) / (2 pi i (1 + I_n(z))) * z'(zeta) * R1(z) u0,
-    where R1 is the modified resolvent.
-    """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    p = contour_point(contour, zeta)
-    den = _denominator(problem, rule, p.z)
-    r1 = problem.op.modified_resolvent_apply(p.z, problem.u0)
-    return np.exp(-p.z * t) / (TWO_PI_I * den) * p.dz * r1
-
-
-def _step_size(step, problem, contour, N):
-    if isinstance(step, UniformStep):
-        alpha = problem.alpha if step.alpha is None else step.alpha
-        return sinc_step_uniform(contour.d1, alpha, N)
-    if isinstance(step, LargeTStep):
-        return sinc_step_large_t(N, step.c1)
-    if isinstance(step, CalibratedStep):
-        return sinc_step_calibrated(N)
-    if isinstance(step, FixedStep):
-        return step.h
-    raise ValueError(f"unknown step mode {step!r}")
 
 
 class _Plan:
@@ -209,15 +198,10 @@ class _Plan:
                 stacklevel=3,
             )
         self.rule = gauss_legendre(config.n)
-        self.h = _step_size(config.step, problem, self.contour, config.N)
-        if config.use_symmetry:
-            ks = np.arange(0, config.N + 1)
-        else:
-            ks = np.arange(-config.N, config.N + 1)
-        self.ks = ks
-        zeta = ks * self.h
-        self.z = self.contour.a_I * np.cosh(zeta) - 1j * self.contour.b_I * np.sinh(zeta)
-        self.dz = self.contour.a_I * np.sinh(zeta) - 1j * self.contour.b_I * np.cosh(zeta)
+        self.h = config.step.step_size(problem, self.contour, config.N)
+        ks = np.arange(0 if config.use_symmetry else -config.N, config.N + 1)
+        nodes = contour_point(self.contour, ks * self.h)
+        self.z, self.dz = nodes.z, nodes.dz
         self.den = _denominator(problem, self.rule, self.z)
         u0c = problem.u0.astype(complex)
         self.r1 = np.stack(
@@ -225,7 +209,7 @@ class _Plan:
         )
 
     def sample(self, t: float) -> SolutionSample:
-        if t < 0:
+        if not (t >= 0):
             raise ValueError(f"time must be nonnegative, got {t}")
         cfg = self.config
         # per-node vector terms F_k = integrand at zeta = k*h

@@ -93,8 +93,9 @@ class TestParseConfig:
             parse_config(BASE + "alpha = 1.5\n")
 
     def test_negative_time(self):
-        with pytest.raises(ConfigError, match="t"):
-            parse_config(BASE.replace("t = 0.5", "t = -1"))
+        for ts in ("-1", "nan", "0.5, nan"):
+            with pytest.raises(ConfigError, match="t"):
+                parse_config(BASE.replace("t = 0.5", "t = " + ts))
 
 
 class TestEmitCsv:
@@ -215,6 +216,10 @@ class TestMain:
         cfg.write_text("operator = diagonal:1\nbogus = 1\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
+        for bad in (BASE.replace("t = 0.5", "t = nan"), BASE.replace("T = 1.0", "T = inf")):
+            cfg.write_text(bad)
+            assert main(["solve", "--config", str(cfg)]) == 2
+            assert "config error" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -22,8 +22,6 @@ def test_spectral_bounds_validation():
         SpectralBounds(rho0=1.0, phi=math.pi / 2)
     with pytest.raises(ValueError):
         SpectralBounds(rho0=1.0, phi=-0.1)
-    with pytest.raises(ValueError):
-        SpectralBounds(rho0=1.0, resolvent_const=0.0)
 
 
 def test_b0_is_rho0_tan_phi():

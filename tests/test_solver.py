@@ -11,13 +11,12 @@ from nonlocalsolver import (
     FixedStep,
     LargeTStep,
     NonlocalProblem,
+    NumericalError,
     SineSpectralOperator,
     SolverConfig,
     UniformStep,
     WeightFunction,
     check_existence,
-    gauss_legendre,
-    integrand_eval,
     make_contour,
     solve_at,
     solve_many,
@@ -37,8 +36,9 @@ def _scalar_problem(lam=1.0, w=None, T=1.0, u0=1.0):
 
 class TestProblemValidation:
     def test_rejects_bad_T(self):
-        with pytest.raises(ValueError):
-            _scalar_problem(T=0.0)
+        for T in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                _scalar_problem(T=T)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):
@@ -50,11 +50,18 @@ class TestProblemValidation:
             NonlocalProblem(op=DiagonalOperator([1.0, 2.0]), T=1.0,
                             w=WeightFunction.zero(), u0=[1.0])
 
+    def test_rejects_nonfinite_u0(self):
+        for u0 in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                _scalar_problem(u0=u0)
+
     def test_config_rejects_negative(self):
         with pytest.raises(ValueError):
             SolverConfig(n=-1)
         with pytest.raises(ValueError):
             FixedStep(h=0.0)
+        with pytest.raises(ValueError):
+            SolverConfig(step="uniform")
 
 
 class TestCheckExistence:
@@ -87,47 +94,18 @@ class TestCheckExistence:
         with pytest.raises(ExistenceError):
             solve_at(problem, SolverConfig(n=4, N=8), 0.5)
 
+    def test_solve_refuses_nan_weight(self):
+        # the sup-norm hint passes the existence check; the NaN denominator
+        # must still be refused rather than returned as NaN output
+        w = WeightFunction.from_callable(lambda s: np.full_like(s, np.nan),
+                                         sup_norm_hint=0.1)
+        with pytest.raises(NumericalError):
+            solve_at(_scalar_problem(w=w), SolverConfig(n=4, N=8), 0.5)
+
     def test_rough_violation_warns(self):
         problem = _scalar_problem(lam=20.0, w=WeightFunction.constant(1.0), T=2.0)
         with pytest.warns(UserWarning, match="sup"):
             solve_at(problem, SolverConfig(n=4, N=8), 0.5)
-
-
-class TestIntegrandEval:
-    def test_zero_weight_closed_form(self):
-        lam = 3.0
-        problem = _scalar_problem(lam=lam)
-        contour = make_contour(problem.op.spectral)
-        rule = gauss_legendre(8)
-        for zeta in (-1.0, 0.0, 0.7):
-            ch, sh = math.cosh(zeta), math.sinh(zeta)
-            z = contour.a_I * ch - 1j * contour.b_I * sh
-            dz = contour.a_I * sh - 1j * contour.b_I * ch
-            expect = dz * lam / (z * (z - lam)) / (2j * math.pi)
-            got = integrand_eval(problem, contour, rule, 0.0, zeta)
-            assert got[0] == pytest.approx(expect, rel=1e-14)
-
-    def test_zero_initial_data(self):
-        problem = _scalar_problem(u0=0.0)
-        contour = make_contour(problem.op.spectral)
-        got = integrand_eval(problem, contour, gauss_legendre(4), 1.0, 0.5)
-        assert np.max(np.abs(got)) == 0.0
-
-    def test_conjugate_symmetry(self):
-        problem = _scalar_problem(lam=2.0, w=WeightFunction.cos(), T=0.5)
-        contour = make_contour(problem.op.spectral)
-        rule = gauss_legendre(8)
-        a = integrand_eval(problem, contour, rule, 0.3, 1.2)
-        b = integrand_eval(problem, contour, rule, 0.3, -1.2)
-        # z' flips sign under zeta -> -zeta, so the full integrand (which
-        # includes 1/(2 pi i)) is exactly conjugated
-        assert b[0] == pytest.approx(np.conj(a[0]), rel=1e-15)
-
-    def test_rejects_negative_time(self):
-        problem = _scalar_problem()
-        contour = make_contour(problem.op.spectral)
-        with pytest.raises(ValueError):
-            integrand_eval(problem, contour, gauss_legendre(4), -1.0, 0.0)
 
 
 class TestSolveAt:
@@ -164,6 +142,7 @@ class TestSolveAt:
         combined = run(a * x + b * y)
         split = a * run(x) + b * run(y)
         assert np.max(np.abs(combined - split)) <= 1e-13 * np.max(np.abs(combined))
+        assert np.all(run(np.zeros(3)) == 0.0)
 
     def test_realness(self):
         problem = _scalar_problem(lam=2.0, w=WeightFunction.cos(), T=0.5)
@@ -211,8 +190,9 @@ class TestSolveAt:
 
     def test_rejects_negative_time(self):
         problem = _scalar_problem()
-        with pytest.raises(ValueError):
-            solve_at(problem, SolverConfig(n=4, N=8), -0.5)
+        for t in (-0.5, math.nan):
+            with pytest.raises(ValueError):
+                solve_at(problem, SolverConfig(n=4, N=8), t)
 
 
 class TestSolveMany:
