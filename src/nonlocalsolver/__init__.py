@@ -26,7 +26,6 @@ from .quadrature import (
     gauss_error_bound_analytic,
     gauss_error_bound_bv,
     gauss_legendre,
-    map_to_interval,
     nonlocal_integral,
     sinc_step_calibrated,
     sinc_step_large_t,
@@ -57,7 +56,7 @@ __all__ = [
     "WeightFunction", "check_existence", "contour_point",
     "gauss_error_bound_analytic", "gauss_error_bound_bv", "gauss_legendre",
     "make_contour", "make_laplacian1d",
-    "make_self_adjoint_contour", "map_to_interval", "mode_reference",
+    "make_self_adjoint_contour", "mode_reference",
     "nonlocal_integral", "poly_x2_1mx_coefficients", "reference_solution",
     "shifted_axes", "sinc_step_calibrated", "sinc_step_large_t",
     "sinc_step_uniform", "solve_at", "solve_many",

@@ -55,14 +55,6 @@ def gauss_legendre(n: int) -> GaussRule:
     return GaussRule(order=n, nodes=nodes, weights=weights)
 
 
-def map_to_interval(rule: GaussRule, T: float):
-    """Map the rule from [-1,1] to (0,T): nodes xi_j and scaled weights."""
-    if not (T > 0):
-        raise ValueError(f"interval length must be positive, got {T}")
-    xi = (T / 2.0) * (rule.nodes + 1.0)
-    return xi, (T / 2.0) * rule.weights
-
-
 class WeightFunction:
     """The weight w(s) of the nonlocal condition u(0) + int_0^T w(s)u(s)ds = u0.
 
@@ -139,7 +131,7 @@ def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
     small (at most 3 for n = 16 and a self-adjoint operator). The remainder
     covers e^{-zs}; w is assumed smooth on the scale of one panel. P is
     capped at 1024, with a warning where the cap leaves the bound unmet
-    (n <= 2 on a typical contour).
+    (n <= 2 on a typical contour). A complex-valued w raises ValueError.
 
     z may be a scalar or an array; the result broadcasts over z.
     """
@@ -170,7 +162,11 @@ def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
     inner = np.exp(np.multiply.outer(-zL, x)) * np.multiply.outer(L / 2.0, rule.weights)
     # the points of the zero-weighted panels are moved to s_max <= T
     s = np.minimum(np.multiply.outer(L, np.add.outer(p, x)), s_max[:, None, None])
-    ws = np.broadcast_to(w(s), s.shape)
+    ws = w(s)
+    if np.iscomplexobj(ws):
+        # the solver's folded sum over the contour assumes real data
+        raise ValueError(f"weight {w!r} must be real-valued")
+    ws = np.broadcast_to(ws, s.shape)
     out = np.matmul(outer[:, None, :], np.matmul(ws, inner[:, :, None])).reshape(z.shape)
     return out if out.ndim else complex(out)
 

@@ -10,7 +10,13 @@ panel, with the number of panels chosen by the program from |z| so that
 e^{-zs} is resolved to double precision (see
 quadrature.nonlocal_integral). For real data the integrand at -zeta is the
 conjugate of the integrand at zeta, so the sum is folded onto k >= 0 and the
-number of resolvent solves drops from 2N+1 to N+1.
+number of resolvent solves drops from 2N+1 to N+1. The fold is done once per
+plan: with use_symmetry=False the 2N+1 nodes are solved and each -k row is
+averaged with the conjugate of its k row. Both settings then store N+1
+coefficients, weighted 2 for k >= 1, and each time t costs one product of
+their factors exp(-z_k t) with the stored resolvents, whose real part is
+u(t). Complex weights are rejected (see quadrature.nonlocal_integral), and u0
+is real, so the data are conjugate-symmetric.
 """
 
 import math
@@ -141,9 +147,7 @@ class ConditionReport:
 @dataclass(frozen=True)
 class SolutionSample:
     t: float
-    value_complex: np.ndarray
     value: np.ndarray
-    imag_residual: float
     report: ConditionReport
     grid: tuple  # (h, N, n)
 
@@ -179,16 +183,14 @@ def _denominator(problem, rule, z):
 class _Plan:
     """t-independent precomputation shared by all samples of one config.
 
-    Holds, per Sinc node z_k: the denominator 1 + I_n(z_k), the derivative
-    z'(kh), and the modified resolvent applied to u0. Evaluating at a time t
-    then only costs the scalar factors exp(-z_k t).
+    Holds, per Sinc node z_k with k = 0..N, the coefficient
+    c_k = z'(kh) / (2 pi i (1 + I_n(z_k))), doubled for k >= 1 to account for
+    the conjugate -k term, and the modified resolvent applied to u0.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
-        self.problem = problem
-        self.config = config
-        self.contour = make_contour(problem.op.spectral, config.rho1)
-        self.report = check_existence(problem, self.contour)
+        contour = make_contour(problem.op.spectral, config.rho1)
+        self.report = check_existence(problem, contour)
         if not self.report.sharp_ok:
             raise ExistenceError(
                 f"solvability condition violated: sup|w| = {self.report.w_sup} "
@@ -200,65 +202,44 @@ class _Plan:
                 "(parts of the error analysis assumed sup|w| <= 1/T)",
                 stacklevel=3,
             )
-        self.rule = gauss_legendre(config.n)
-        self.h = config.step.step_size(problem, self.contour, config.N)
-        ks = np.arange(0 if config.use_symmetry else -config.N, config.N + 1)
-        nodes = contour_point(self.contour, ks * self.h)
-        self.z, self.dz = nodes.z, nodes.dz
-        self.den = _denominator(problem, self.rule, self.z)
+        rule = gauss_legendre(config.n)
+        self.h = config.step.step_size(problem, contour, config.N)
+        self.grid = (self.h, config.N, config.n)
+        N = config.N
+        ks = np.arange(0 if config.use_symmetry else -N, N + 1)
+        nodes = contour_point(contour, ks * self.h)
+        z = nodes.z
+        coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
         u0c = problem.u0.astype(complex)
-        self.r1 = np.stack(
-            [problem.op.modified_resolvent_apply(z, u0c) for z in self.z]
-        )
+        r1 = np.stack([problem.op.modified_resolvent_apply(zk, u0c) for zk in z])
+        if not config.use_symmetry:
+            # fold the -k rows onto k: exact when the data are
+            # conjugate-symmetric, as they are for real w and u0
+            z, coef, r1 = ((a[N:] + a[N::-1].conj()) / 2 for a in (z, coef, r1))
+        coef[1:] *= 2.0
+        self.z, self.coef = z, coef
+        self.r1_re = np.ascontiguousarray(r1.real)
+        self.r1_im = np.ascontiguousarray(r1.imag)
 
-    def sample(self, t: float) -> SolutionSample:
-        if not (t >= 0):
-            raise ValueError(f"time must be nonnegative, got {t}")
-        cfg = self.config
-        # per-node vector terms F_k = integrand at zeta = k*h
-        factors = np.exp(-self.z * t) / (TWO_PI_I * self.den) * self.dz
-        terms = factors[:, None] * self.r1
-        if cfg.use_symmetry:
-            # ascending k, with the k = 0 term added last; the negative
-            # half-axis contributes the conjugates, so 2*Re for k >= 1
-            acc = np.zeros(self.problem.op.dim, dtype=complex)
-            for k in range(1, cfg.N + 1):
-                acc += 2.0 * terms[k].real
-            acc += terms[0]
-        else:
-            # same fixed order as the folded branch: ascending k, the +-k
-            # pair summed together, the k = 0 term last
-            acc = np.zeros(self.problem.op.dim, dtype=complex)
-            for k in range(1, cfg.N + 1):
-                acc += terms[cfg.N - k] + terms[cfg.N + k]
-            acc += terms[cfg.N]
-        value_complex = self.h * acc
-        value = value_complex.real.copy()
-        imag_residual = float(np.max(np.abs(value_complex.imag))) if value.size else 0.0
-        scale = float(np.max(np.abs(value))) if value.size else 0.0
-        if scale > 0 and imag_residual > 1e-8 * scale:
-            warnings.warn(
-                f"imaginary residual {imag_residual:.3e} is large relative to "
-                f"the solution ({scale:.3e}); check the problem data",
-                stacklevel=3,
-            )
-        return SolutionSample(
-            t=t,
-            value_complex=value_complex,
-            value=value,
-            imag_residual=imag_residual,
-            report=self.report,
-            grid=(self.h, cfg.N, cfg.n),
-        )
+    def samples(self, ts) -> list:
+        out = []
+        for t in ts:
+            if not (t >= 0):
+                raise ValueError(f"time must be nonnegative, got {t}")
+            # one product per time (not one gemm for all times), so a
+            # time's value does not depend on the other times of the call
+            e = np.exp(-self.z * t) * self.coef
+            value = self.h * (e.real @ self.r1_re - e.imag @ self.r1_im)
+            out.append(SolutionSample(t=t, value=value, report=self.report, grid=self.grid))
+        return out
 
 
 def solve_at(problem: NonlocalProblem, config: SolverConfig, t: float) -> SolutionSample:
     """Approximate u(t) by the Sinc-quadrature contour sum."""
-    return _Plan(problem, config).sample(t)
+    return _Plan(problem, config).samples([t])[0]
 
 
 def solve_many(problem: NonlocalProblem, config: SolverConfig, ts) -> list:
     """Solve at several times, reusing all t-independent work (in particular
     the N+1 resolvent applications) across the samples."""
-    plan = _Plan(problem, config)
-    return [plan.sample(t) for t in ts]
+    return _Plan(problem, config).samples(ts)

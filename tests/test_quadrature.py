@@ -11,7 +11,6 @@ from nonlocalsolver import (
     gauss_error_bound_bv,
     gauss_legendre,
     make_contour,
-    map_to_interval,
     nonlocal_integral,
     sinc_step_calibrated,
     sinc_step_large_t,
@@ -71,30 +70,6 @@ class TestGaussLegendre:
 
     def test_rules_are_cached(self):
         assert gauss_legendre(6) is gauss_legendre(6)
-
-
-class TestMapToInterval:
-    def test_unit_scale(self):
-        rule = gauss_legendre(3)
-        xi, sw = map_to_interval(rule, 2.0)
-        assert xi == pytest.approx(rule.nodes + 1.0, abs=1e-16)
-        assert sw == pytest.approx(rule.weights, abs=1e-16)
-
-    def test_two_point_half_pi(self):
-        rule = gauss_legendre(1)
-        xi, _ = map_to_interval(rule, math.pi / 2)
-        expect = [math.pi / 4 * (1 - 1 / math.sqrt(3)), math.pi / 4 * (1 + 1 / math.sqrt(3))]
-        assert xi == pytest.approx(expect, rel=1e-15)
-
-    @pytest.mark.parametrize("n,T", [(0, 1.0), (4, 0.3), (9, math.pi / 2), (16, 7.0)])
-    def test_weight_sum_is_T(self, n, T):
-        xi, sw = map_to_interval(gauss_legendre(n), T)
-        assert math.fsum(sw) == pytest.approx(T, abs=1e-14 * max(1, T))
-        assert np.all(xi > 0) and np.all(xi < T)
-
-    def test_rejects_bad_T(self):
-        with pytest.raises(ValueError):
-            map_to_interval(gauss_legendre(2), 0.0)
 
 
 class TestWeightFunction:
