@@ -1,12 +1,13 @@
 """Sectorial operators with resolvent application.
 
 Three concrete operators are provided: a plain diagonal test operator, a
-finite-difference 1D Laplacian with Dirichlet ends, and an exact sine-spectral
-realization of the same Laplacian that carries no spatial discretization
-error. All expose (zI - A)^{-1} v and the spectral bounds needed to build an
-integration contour.
+finite-difference 1D Laplacian with Dirichlet ends, solved in its exact DST-I
+eigenbasis, and an exact sine-spectral realization of the same Laplacian with
+no spatial discretization error. All expose (zI - A)^{-1} v, refusing a z within
+1e-14*|z| of an eigenvalue, and the spectral bounds that build the contour.
 """
 
+import cmath
 import math
 from abc import ABC, abstractmethod
 
@@ -38,12 +39,15 @@ class SectorialOperator(ABC):
         """Apply A itself (used for residual checks)."""
 
     def resolvent_apply(self, z: complex, v) -> np.ndarray:
-        """Solve (zI - A) u = v."""
+        """Solve (zI - A) u = v for a finite z."""
+        z = complex(z)
+        if not cmath.isfinite(z):
+            raise ValueError(f"resolvent needs a finite z, got {z}")
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.dim,):
             raise ValueError(f"state length {v.shape} does not match dim {self.dim}")
         self.resolvent_calls += 1
-        return self._resolvent(complex(z), v)
+        return self._resolvent(z, v)
 
     def modified_resolvent_apply(self, z: complex, v) -> np.ndarray:
         """Apply (zI - A)^{-1} - I/z, which decays like |z|^{-2} on the contour."""
@@ -52,6 +56,15 @@ class SectorialOperator(ABC):
             raise ValueError("modified resolvent is undefined at z = 0")
         v = np.asarray(v, dtype=complex)
         return self.resolvent_apply(z, v) - v / z
+
+
+def _spectral_gap(z, eigenvalues):
+    """z - eigenvalues, refusing a z within 1e-14*|z| of an eigenvalue."""
+    gap = z - eigenvalues
+    if np.min(np.abs(gap)) < 1e-14 * abs(z):
+        raise NumericalError(f"resolvent nearly singular: z = {z} within 1e-14*|z| "
+                             "of an eigenvalue")
+    return gap
 
 
 class DiagonalOperator(SectorialOperator):
@@ -74,16 +87,14 @@ class DiagonalOperator(SectorialOperator):
         return self.eigenvalues * np.asarray(v)
 
     def _resolvent(self, z, v):
-        gap = np.abs(z - self.eigenvalues)
-        if np.min(gap) < 1e-14 * abs(z):
-            raise NumericalError(
-                f"resolvent nearly singular: z = {z} within 1e-14*|z| of an eigenvalue"
-            )
-        return v / (z - self.eigenvalues)
+        return v / _spectral_gap(z, self.eigenvalues)
 
 
 class Laplacian1D(SectorialOperator):
-    """Finite-difference -d2/dx2 on (0,1) with Dirichlet ends, m interior points."""
+    """Finite-difference -d2/dx2 on (0,1) with Dirichlet ends, m interior points.
+
+    A_h = S diag(lambda_k) S with S the orthonormal DST-I matrix, so a resolvent
+    solve is two sine transforms and a division by z - lambda_k, O(m log m)."""
 
     def __init__(self, m: int):
         super().__init__()
@@ -92,16 +103,17 @@ class Laplacian1D(SectorialOperator):
         self.m = m
         self.dim = m
         self.dx = 1.0 / (m + 1)
-        lam1 = (4.0 / self.dx**2) * math.sin(math.pi * self.dx / 2) ** 2
-        self.spectral = SpectralBounds(rho0=lam1, phi=0.0)
+        self.eigenvalues = self.eigenvalue(np.arange(1, m + 1))
+        self.spectral = SpectralBounds(rho0=float(self.eigenvalues[0]), phi=0.0)
 
     @property
     def grid(self):
         """Interior grid points x_i = i*dx."""
         return self.dx * np.arange(1, self.m + 1)
 
-    def eigenvalue(self, k: int) -> float:
-        return (4.0 / self.dx**2) * math.sin(k * math.pi * self.dx / 2) ** 2
+    def eigenvalue(self, k):
+        """lambda_k for an integer k or an integer array k."""
+        return (4.0 / self.dx**2) * np.sin(k * math.pi * self.dx / 2) ** 2
 
     def apply(self, v):
         v = np.asarray(v)
@@ -110,34 +122,18 @@ class Laplacian1D(SectorialOperator):
         out[:-1] -= v[1:]
         return out / self.dx**2
 
+    def _sine_transform(self, v):
+        """S v by rfft of the odd extensions of Re v and Im v, taken apart so that
+        S conj(v) is conj(S v) bit for bit, as the folded Sinc sum assumes."""
+        x = np.stack((v.real, v.imag))
+        zero = np.zeros((2, 1))
+        ext = np.hstack((zero, x, zero, -x[:, ::-1]))
+        s = np.fft.rfft(ext)[:, 1 : self.m + 1].imag / -math.sqrt(2 * self.m + 2)
+        return s[0] + 1j * s[1]
+
     def _resolvent(self, z, v):
-        # Thomas sweep on the tridiagonal zI - A_h: diagonal z - 2/dx^2,
-        # off-diagonals +1/dx^2 (from -(-1/dx^2)). No pivoting; a vanishing
-        # pivot means z sits (numerically) on the spectrum.
-        m = self.m
-        off = 1.0 / self.dx**2
-        d = z - 2.0 / self.dx**2
-        scale = abs(z) + 2.0 / self.dx**2
-        cp = np.empty(m, dtype=complex)
-        dp = np.empty(m, dtype=complex)
-        piv = d
-        if abs(piv) < 1e-14 * scale:
-            raise NumericalError(f"tridiagonal pivot underflow at row 0 for z = {z}")
-        cp[0] = off / piv
-        dp[0] = v[0] / piv
-        for i in range(1, m):
-            piv = d - off * cp[i - 1]
-            if abs(piv) < 1e-14 * scale:
-                raise NumericalError(
-                    f"tridiagonal pivot underflow at row {i} for z = {z}"
-                )
-            cp[i] = off / piv
-            dp[i] = (v[i] - off * dp[i - 1]) / piv
-        u = np.empty(m, dtype=complex)
-        u[-1] = dp[-1]
-        for i in range(m - 2, -1, -1):
-            u[i] = dp[i] - cp[i] * u[i + 1]
-        return u
+        y = self._sine_transform(v) / _spectral_gap(z, self.eigenvalues)
+        return self._sine_transform(y)
 
 
 class SineSpectralOperator(DiagonalOperator):

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import Contour, contour_point, make_contour
-from .errors import ExistenceError, NumericalError
+from .errors import ConfigError, ExistenceError, NumericalError
 from .operators import SectorialOperator
 from .quadrature import (
     WeightFunction,
@@ -120,8 +120,8 @@ class SolverConfig:
     use_symmetry: bool = True
 
     def __post_init__(self):
-        if self.n < 0 or self.N < 0:
-            raise ValueError("n and N must be nonnegative")
+        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (self.n, self.N)):
+            raise ValueError(f"n and N must be integers >= 0, got {self.n}, {self.N}")
         if not hasattr(self.step, "step_size"):
             raise ValueError(f"unknown step mode {self.step!r}")
 
@@ -206,6 +206,10 @@ class _Plan:
         self.h = config.step.step_size(problem, contour, config.N)
         self.grid = (self.h, config.N, config.n)
         N = config.N
+        with np.errstate(all="ignore"):  # refused before any per-node array exists
+            outer = contour_point(contour, N * self.h)
+        if not np.isfinite([outer.z, outer.dz]).all():
+            raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
         ks = np.arange(0 if config.use_symmetry else -N, N + 1)
         nodes = contour_point(contour, ks * self.h)
         z = nodes.z
@@ -226,9 +230,9 @@ class _Plan:
         for t in ts:
             if not (t >= 0):
                 raise ValueError(f"time must be nonnegative, got {t}")
-            # one product per time (not one gemm for all times), so a
-            # time's value does not depend on the other times of the call
-            e = np.exp(-self.z * t) * self.coef
+            # one product per time (not one gemm for all times), so a time's value
+            # does not depend on the other times; at t = inf every factor is 0
+            e = np.exp(-self.z * t) * self.coef if t < math.inf else 0.0 * self.coef
             value = self.h * (e.real @ self.r1_re - e.imag @ self.r1_im)
             out.append(SolutionSample(t=t, value=value, report=self.report, grid=self.grid))
         return out

@@ -216,7 +216,8 @@ class TestMain:
         cfg.write_text("operator = diagonal:1\nbogus = 1\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         assert "config error" in capsys.readouterr().err
-        for bad in (BASE.replace("t = 0.5", "t = nan"), BASE.replace("T = 1.0", "T = inf")):
+        for bad in (BASE.replace("t = 0.5", "t = nan"), BASE.replace("T = 1.0", "T = inf"),
+                    BASE.replace("diagonal:1", "diagonal:5") + "N = 200000\n"):
             cfg.write_text(bad)
             assert main(["solve", "--config", str(cfg)]) == 2
             assert "config error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from nonlocalsolver import (
     CalibratedStep,
+    ConfigError,
     DiagonalOperator,
     ExistenceError,
     FixedStep,
@@ -63,6 +65,9 @@ class TestProblemValidation:
             FixedStep(h=0.0)
         with pytest.raises(ValueError):
             SolverConfig(step="uniform")
+        for n, N in ((16.5, 64), (16, 64.5), (16.5, 64.5), (16.0, 64)):
+            with pytest.raises(ValueError):
+                SolverConfig(n=n, N=N)
 
 
 class TestCheckExistence:
@@ -203,6 +208,21 @@ class TestSolveAt:
             with pytest.raises(ValueError):
                 solve_at(problem, SolverConfig(n=4, N=8), t)
 
+    def test_refuses_nonfinite_outer_node(self):
+        # with the default step N*h is about 2e3 at N = 200000 and 3e6 at
+        # N = 10**12, where cosh overflows; the refusal must come before any
+        # per-node array, so the huge N allocates nothing
+        problem = _scalar_problem(lam=5.0)
+        for N in (200000, 10**12):
+            tracemalloc.start()
+            try:
+                with pytest.raises(ConfigError, match=f"N = {N}, h = "):
+                    solve_at(problem, SolverConfig(N=N), 0.5)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+
 
 class TestSolveMany:
     def test_singleton_matches_solve_at(self):
@@ -217,9 +237,7 @@ class TestSolveMany:
                 for t, sample in zip(ts, many):
                     assert np.array_equal(sample.value, solve_at(problem, config, t).value)
 
-    # the real node's -z t is -inf + nan i at t = inf; numpy warns on that
-    # product, and exp still gives 0
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_time_is_zero(self):
         problem = NonlocalProblem(op=Laplacian1D(10), T=0.5, w=WeightFunction.cos(),
                                   u0=np.ones(10))
