@@ -23,8 +23,6 @@ from .oracle import ModeProblem, mode_reference, reference_solution
 from .quadrature import (
     GaussRule,
     WeightFunction,
-    gauss_error_bound_analytic,
-    gauss_error_bound_bv,
     gauss_legendre,
     nonlocal_integral,
     sinc_step_calibrated,
@@ -54,8 +52,7 @@ __all__ = [
     "NumericalError", "PathPoint", "SectorialOperator", "SineSpectralOperator",
     "SolutionSample", "SolverConfig", "SpectralBounds", "UniformStep",
     "WeightFunction", "check_existence", "contour_point",
-    "gauss_error_bound_analytic", "gauss_error_bound_bv", "gauss_legendre",
-    "make_contour", "make_laplacian1d",
+    "gauss_legendre", "make_contour", "make_laplacian1d",
     "make_self_adjoint_contour", "mode_reference",
     "nonlocal_integral", "poly_x2_1mx_coefficients", "reference_solution",
     "shifted_axes", "sinc_step_calibrated", "sinc_step_large_t",

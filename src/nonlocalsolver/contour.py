@@ -54,7 +54,6 @@ class PathPoint:
 
     z: complex | np.ndarray
     dz: complex | np.ndarray
-    zeta: float | np.ndarray
 
 
 def make_contour(bounds: SpectralBounds, rho1: float = 0.0) -> Contour:
@@ -98,7 +97,7 @@ def contour_point(c: Contour, zeta) -> PathPoint:
     or array)."""
     z = c.a_I * np.cosh(zeta) - 1j * c.b_I * np.sinh(zeta)
     dz = c.a_I * np.sinh(zeta) - 1j * c.b_I * np.cosh(zeta)
-    return PathPoint(z=z, dz=dz, zeta=zeta)
+    return PathPoint(z=z, dz=dz)
 
 
 def shifted_axes(c: Contour, nu: float) -> tuple[float, float]:

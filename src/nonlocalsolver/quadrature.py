@@ -199,27 +199,3 @@ def sinc_step_calibrated(N: int) -> float:
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     return 1.71 * (N + 1) ** (-0.67)
-
-
-def gauss_error_bound_analytic(M_bound: float, rho: float, n: int) -> float:
-    """Upper bound on the Gauss error when the integrand extends analytically
-    to the Bernstein ellipse of parameter rho with bound M_bound."""
-    if not (rho > 1):
-        raise ValueError(f"Bernstein parameter must exceed 1, got {rho}")
-    if n < 2:
-        raise ValueError(f"bound requires n >= 2, got {n}")
-    if not (M_bound > 0):
-        raise ValueError(f"M_bound must be positive, got {M_bound}")
-    return 144.0 * M_bound * rho ** (-2 * n) / (35.0 * (rho * rho - 1.0))
-
-
-def gauss_error_bound_bv(V: float, nu: int, n: int) -> float:
-    """Upper bound on the Gauss error when the integrand's nu-th derivative
-    has total variation V."""
-    if V < 0:
-        raise ValueError(f"variation must be nonnegative, got {V}")
-    if nu < 1:
-        raise ValueError(f"nu must be at least 1, got {nu}")
-    if n <= 2 * nu + 1:
-        raise ValueError(f"bound requires n > 2*nu+1 = {2 * nu + 1}, got {n}")
-    return 32.0 * V / (15.0 * math.pi * nu * (n - 2 * nu - 1) ** (2 * nu + 1))

@@ -13,10 +13,13 @@ conjugate of the integrand at zeta, so the sum is folded onto k >= 0 and the
 number of resolvent solves drops from 2N+1 to N+1. The fold is done once per
 plan: with use_symmetry=False the 2N+1 nodes are solved and each -k row is
 averaged with the conjugate of its k row. Both settings then store N+1
-coefficients, weighted 2 for k >= 1, and each time t costs one product of
-their factors exp(-z_k t) with the stored resolvents, whose real part is
-u(t). Complex weights are rejected (see quadrature.nonlocal_integral), and u0
-is real, so the data are conjugate-symmetric.
+coefficients, weighted 2 for k >= 1, and the real and imaginary parts of
+their resolvents as the rows of one real buffer, in descending k so that
+each sum adds its smallest terms first. u(t) is the real part of the sum,
+formed by one matrix product per fixed block of _BLOCK times, so a time's
+value does not depend on the other times of the call. Complex weights are
+rejected (see quadrature.nonlocal_integral), and u0 is real, so the data
+are conjugate-symmetric.
 """
 
 import math
@@ -38,6 +41,10 @@ from .quadrature import (
 )
 
 TWO_PI_I = 2j * math.pi
+MAX_GAUSS_ORDER = 128
+# rows per matrix product in _Plan.samples; fixed, so that a row's rounding
+# does not depend on the number of times requested
+_BLOCK = 8
 
 
 @dataclass(frozen=True)
@@ -122,6 +129,8 @@ class SolverConfig:
     def __post_init__(self):
         if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (self.n, self.N)):
             raise ValueError(f"n and N must be integers >= 0, got {self.n}, {self.N}")
+        if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
+            raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
         if not hasattr(self.step, "step_size"):
             raise ValueError(f"unknown step mode {self.step!r}")
 
@@ -183,9 +192,10 @@ def _denominator(problem, rule, z):
 class _Plan:
     """t-independent precomputation shared by all samples of one config.
 
-    Holds, per Sinc node z_k with k = 0..N, the coefficient
+    Holds, per Sinc node z_k with k = N..0, the coefficient
     c_k = z'(kh) / (2 pi i (1 + I_n(z_k))), doubled for k >= 1 to account for
-    the conjugate -k term, and the modified resolvent applied to u0.
+    the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
+    resolvent applied to u0, in one (2(N+1), dim) real buffer.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
@@ -210,32 +220,42 @@ class _Plan:
             outer = contour_point(contour, N * self.h)
         if not np.isfinite([outer.z, outer.dz]).all():
             raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
-        ks = np.arange(0 if config.use_symmetry else -N, N + 1)
+        # descending k: the terms decay with |k|, so the sums add the smallest first
+        ks = np.arange(N, -1 if config.use_symmetry else -N - 1, -1)
         nodes = contour_point(contour, ks * self.h)
         z = nodes.z
         coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
         u0c = problem.u0.astype(complex)
-        r1 = np.stack([problem.op.modified_resolvent_apply(zk, u0c) for zk in z])
+        r1 = np.empty((len(z), 2, problem.op.dim))
+        for row, zk in zip(r1, z):
+            r = problem.op.modified_resolvent_apply(zk, u0c)
+            row[0], row[1] = r.real, r.imag
         if not config.use_symmetry:
-            # fold the -k rows onto k: exact when the data are
-            # conjugate-symmetric, as they are for real w and u0
-            z, coef, r1 = ((a[N:] + a[N::-1].conj()) / 2 for a in (z, coef, r1))
-        coef[1:] *= 2.0
+            # fold the -k rows onto k (Re parts add, Im parts subtract): exact
+            # when the data are conjugate-symmetric, as they are for real w and u0
+            z, coef = ((a[:N + 1] + a[N:][::-1].conj()) / 2 for a in (z, coef))
+            r1 = (r1[:N + 1] + r1[N:][::-1] * np.array([[1.0], [-1.0]])) / 2
+        coef[:-1] *= 2.0
         self.z, self.coef = z, coef
-        self.r1_re = np.ascontiguousarray(r1.real)
-        self.r1_im = np.ascontiguousarray(r1.imag)
+        self.r1 = r1.reshape(2 * len(z), -1)
 
     def samples(self, ts) -> list:
-        out = []
-        for t in ts:
+        ts = list(ts)
+        f = np.zeros((-(-len(ts) // _BLOCK) * _BLOCK, len(self.z)), dtype=complex)
+        for fj, t in zip(f, ts):
             if not (t >= 0):
                 raise ValueError(f"time must be nonnegative, got {t}")
-            # one product per time (not one gemm for all times), so a time's value
-            # does not depend on the other times; at t = inf every factor is 0
-            e = np.exp(-self.z * t) * self.coef if t < math.inf else 0.0 * self.coef
-            value = self.h * (e.real @ self.r1_re - e.imag @ self.r1_im)
-            out.append(SolutionSample(t=t, value=value, report=self.report, grid=self.grid))
-        return out
+            if t < math.inf:  # at t = inf every factor is 0
+                fj[:] = np.exp(-self.z * t) * self.coef
+        # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
+        # [Re R1_k, Im R1_k], so each product row is Re(f R1)
+        e = f.conj().view(float)
+        values = np.empty((len(ts), self.r1.shape[1]))
+        for b in range(0, len(ts), _BLOCK):
+            values[b:b + _BLOCK] = (e[b:b + _BLOCK] @ self.r1)[:len(ts) - b]
+        values *= self.h
+        return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
+                for t, v in zip(ts, values)]
 
 
 def solve_at(problem: NonlocalProblem, config: SolverConfig, t: float) -> SolutionSample:

@@ -222,6 +222,17 @@ class TestMain:
             assert main(["solve", "--config", str(cfg)]) == 2
             assert "config error" in capsys.readouterr().err
 
+    def test_bad_order_exit_code(self, capsys):
+        for argv in (["reproduce", "--example", "1", "--n", "-1", "--N", "16"],
+                     ["reproduce", "--example", "1", "--n", "129", "--N", "16"],
+                     ["reproduce", "--example", "2", "--n", "8", "--N", "-16"],
+                     ["converge", "--n", "8", "--N-list", "16,-4"],
+                     ["converge", "--n", "1000000000", "--N-list", "16"]):
+            assert main(argv) == 2
+            assert "config error" in capsys.readouterr().err
+        # the self-reference of example 2 stays within the bound on n
+        assert main(["reproduce", "--example", "2", "--n", "100", "--N", "16"]) == 0
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 

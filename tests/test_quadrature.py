@@ -7,8 +7,6 @@ from nonlocalsolver import (
     SpectralBounds,
     WeightFunction,
     contour_point,
-    gauss_error_bound_analytic,
-    gauss_error_bound_bv,
     gauss_legendre,
     make_contour,
     nonlocal_integral,
@@ -217,41 +215,3 @@ class TestStepRules:
         assert all(a > b for a, b in zip(hs, hs[1:]))
         with pytest.raises(ValueError):
             sinc_step_calibrated(-1)
-
-
-class TestErrorBounds:
-    def test_analytic_value(self):
-        assert gauss_error_bound_analytic(1.0, 2.0, 2) == pytest.approx(
-            144.0 / (16 * 105), rel=1e-15)
-
-    def test_analytic_doubling_n(self):
-        rho = 1.7
-        ratio = gauss_error_bound_analytic(1.0, rho, 4) / gauss_error_bound_analytic(1.0, rho, 2)
-        assert ratio == pytest.approx(rho**-4, rel=1e-13)
-
-    def test_analytic_large_rho_limit(self):
-        assert gauss_error_bound_analytic(1.0, 1e8, 2) < 1e-30
-
-    def test_analytic_domain(self):
-        with pytest.raises(ValueError):
-            gauss_error_bound_analytic(1.0, 1.0, 2)
-        with pytest.raises(ValueError):
-            gauss_error_bound_analytic(1.0, 2.0, 1)
-        with pytest.raises(ValueError):
-            gauss_error_bound_analytic(0.0, 2.0, 2)
-
-    def test_bv_values(self):
-        assert gauss_error_bound_bv(0.0, 1, 5) == 0.0
-        assert gauss_error_bound_bv(1.0, 1, 5) == pytest.approx(32 / (120 * math.pi), rel=1e-15)
-
-    def test_bv_monotone_in_n(self):
-        vals = [gauss_error_bound_bv(1.0, 1, n) for n in range(4, 12)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-    def test_bv_domain(self):
-        with pytest.raises(ValueError):
-            gauss_error_bound_bv(1.0, 1, 3)
-        with pytest.raises(ValueError):
-            gauss_error_bound_bv(1.0, 0, 5)
-        with pytest.raises(ValueError):
-            gauss_error_bound_bv(-1.0, 1, 5)

@@ -69,6 +69,13 @@ class TestProblemValidation:
             with pytest.raises(ValueError):
                 SolverConfig(n=n, N=N)
 
+    def test_config_rejects_large_n(self):
+        # refusals only: a plan at these orders is never built
+        SolverConfig(n=128)
+        for n in (129, 10**9):
+            with pytest.raises(ValueError, match="n must be <= 128"):
+                SolverConfig(n=n)
+
 
 class TestCheckExistence:
     def test_benchmark1_data(self):
@@ -229,6 +236,22 @@ class TestSolveMany:
         ts = [0.0, 0.25, 0.01, 1.0]
         for op in (DiagonalOperator([3.0, 7.5]), Laplacian1D(30), SineSpectralOperator(20)):
             u0 = np.linspace(-1.0, 1.0, op.dim)
+            problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(), u0=u0)
+            for use_symmetry in (True, False):
+                config = SolverConfig(n=8, N=32, use_symmetry=use_symmetry)
+                many = solve_many(problem, config, ts)
+                assert [s.t for s in many] == ts
+                for t, sample in zip(ts, many):
+                    assert np.array_equal(sample.value, solve_at(problem, config, t).value)
+
+    def test_block_position_does_not_change_a_time(self):
+        # 17 times fill two product blocks and a padded third, so each time
+        # is summed at another row position, and beside other times, than in
+        # its own solve_at call
+        ts = [0.0, 0.3, 1e-3, math.inf, 0.05, 0.7, 0.01, 2.0, 0.125, 0.0,
+              1.5, 0.02, 0.4, math.inf, 0.9, 3e-3, 1.0]
+        for op in (DiagonalOperator([2.0, 9.0, 30.0]), Laplacian1D(40), SineSpectralOperator(300)):
+            u0 = np.cos(np.arange(op.dim) + 0.5)
             problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(), u0=u0)
             for use_symmetry in (True, False):
                 config = SolverConfig(n=8, N=32, use_symmetry=use_symmetry)
