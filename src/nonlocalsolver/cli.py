@@ -70,7 +70,7 @@ class RunConfig:
         self.u0_spec = raw["u0"]
         self.out = raw.get("out")
         self.weight = _parse_weight(raw["weight"])
-        self.step = _parse_step(raw["step_mode"], float(raw["c1"]))
+        self.step = _parse_step(raw["step_mode"], self._float("c1"))
         try:
             self.ts = [float(p) for p in raw["t"].split(",") if p.strip()]
         except ValueError:
@@ -163,15 +163,23 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(raw)
 
 
+def _size(rc: RunConfig, key, alias):
+    """The integer under key, else under alias, else 0 (refused by the caller)."""
+    for k in (key, alias):
+        if k in rc.raw:
+            return rc._int(k)
+    return 0
+
+
 def _build_operator(rc: RunConfig):
     spec = rc.operator
     if spec == "sine_spectral":
-        modes = int(rc.raw.get("modes", rc.raw.get("m", "0")))
+        modes = _size(rc, "modes", "m")
         if modes < 1:
             raise ConfigError("key modes: sine_spectral needs modes >= 1")
         return SineSpectralOperator(modes)
     if spec == "laplacian1d":
-        m = int(rc.raw.get("m", rc.raw.get("modes", "0")))
+        m = _size(rc, "m", "modes")
         if m < 2:
             raise ConfigError("key m: laplacian1d needs m >= 2")
         return Laplacian1D(m)

@@ -20,8 +20,12 @@ from .errors import NumericalError
 class SectorialOperator(ABC):
     """Abstract operator A with spectrum in a right-half-plane sector.
 
-    Subclasses implement _resolvent(z, v); the public entry point validates
-    dimensions and counts calls (the counter backs the reuse tests).
+    Subclasses implement _resolvent(z, c) on modal coefficients c, the
+    coordinates of a state in the operator's eigenbasis. to_modal and
+    from_modal map a state to its coefficients and back; both are the
+    identity unless a subclass has a basis of its own. The public entry
+    points validate dimensions and count calls (the counter backs the reuse
+    tests).
     """
 
     dim: int
@@ -31,15 +35,23 @@ class SectorialOperator(ABC):
         self.resolvent_calls = 0
 
     @abstractmethod
-    def _resolvent(self, z: complex, v: np.ndarray) -> np.ndarray:
+    def _resolvent(self, z: complex, c: np.ndarray) -> np.ndarray:
         ...
 
     @abstractmethod
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply A itself (used for residual checks)."""
 
-    def resolvent_apply(self, z: complex, v) -> np.ndarray:
-        """Solve (zI - A) u = v for a finite z."""
+    def to_modal(self, v):
+        """Coefficients of the state v in the eigenbasis, along the last axis."""
+        return v
+
+    def from_modal(self, c):
+        """The state whose coefficients are c, along the last axis."""
+        return c
+
+    def _count(self, z, v):
+        """Validate z and the length of v, and count one resolvent solve."""
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"resolvent needs a finite z, got {z}")
@@ -47,15 +59,21 @@ class SectorialOperator(ABC):
         if v.shape != (self.dim,):
             raise ValueError(f"state length {v.shape} does not match dim {self.dim}")
         self.resolvent_calls += 1
-        return self._resolvent(z, v)
+        return z, v
 
-    def modified_resolvent_apply(self, z: complex, v) -> np.ndarray:
-        """Apply (zI - A)^{-1} - I/z, which decays like |z|^{-2} on the contour."""
+    def resolvent_apply(self, z: complex, v) -> np.ndarray:
+        """Solve (zI - A) u = v for a finite z."""
+        z, v = self._count(z, v)
+        return self.from_modal(self._resolvent(z, self.to_modal(v)))
+
+    def modified_resolvent_apply(self, z: complex, c) -> np.ndarray:
+        """Apply (zI - A)^{-1} - I/z, which decays like |z|^{-2} on the contour,
+        to modal coefficients c; the result is modal coefficients too."""
         z = complex(z)
         if z == 0:
             raise ValueError("modified resolvent is undefined at z = 0")
-        v = np.asarray(v, dtype=complex)
-        return self.resolvent_apply(z, v) - v / z
+        z, c = self._count(z, c)
+        return self._resolvent(z, c) - c / z
 
 
 def _spectral_gap(z, eigenvalues):
@@ -86,15 +104,18 @@ class DiagonalOperator(SectorialOperator):
     def apply(self, v):
         return self.eigenvalues * np.asarray(v)
 
-    def _resolvent(self, z, v):
-        return v / _spectral_gap(z, self.eigenvalues)
+    def _resolvent(self, z, c):
+        return c / _spectral_gap(z, self.eigenvalues)
 
 
 class Laplacian1D(SectorialOperator):
     """Finite-difference -d2/dx2 on (0,1) with Dirichlet ends, m interior points.
 
-    A_h = S diag(lambda_k) S with S the orthonormal DST-I matrix, so a resolvent
-    solve is two sine transforms and a division by z - lambda_k, O(m log m)."""
+    A_h = S diag(lambda_k) S with S the orthonormal DST-I matrix, so S is the
+    operator's eigenbasis: to_modal and from_modal both apply S, O(m log m),
+    and a resolvent solve on modal coefficients is a division by
+    z - lambda_k. It stays a SectorialOperator, not a DiagonalOperator: its
+    states are grid values, not coefficients."""
 
     def __init__(self, m: int):
         super().__init__()
@@ -122,18 +143,21 @@ class Laplacian1D(SectorialOperator):
         out[:-1] -= v[1:]
         return out / self.dx**2
 
-    def _sine_transform(self, v):
-        """S v by rfft of the odd extensions of Re v and Im v, taken apart so that
-        S conj(v) is conj(S v) bit for bit, as the folded Sinc sum assumes."""
-        x = np.stack((v.real, v.imag))
-        zero = np.zeros((2, 1))
-        ext = np.hstack((zero, x, zero, -x[:, ::-1]))
-        s = np.fft.rfft(ext)[:, 1 : self.m + 1].imag / -math.sqrt(2 * self.m + 2)
-        return s[0] + 1j * s[1]
+    def to_modal(self, v):
+        """S v along the last axis, by rfft of the odd extension. A complex v is
+        transformed as Re v and Im v apart, so that S conj(v) is conj(S v) bit
+        for bit, as the folded Sinc sum assumes."""
+        v = np.asarray(v)
+        if np.iscomplexobj(v):
+            return self.to_modal(v.real) + 1j * self.to_modal(v.imag)
+        zero = np.zeros(v.shape[:-1] + (1,))
+        ext = np.concatenate((zero, v, zero, -v[..., ::-1]), axis=-1)
+        return np.fft.rfft(ext)[..., 1 : self.m + 1].imag / -math.sqrt(2 * self.m + 2)
 
-    def _resolvent(self, z, v):
-        y = self._sine_transform(v) / _spectral_gap(z, self.eigenvalues)
-        return self._sine_transform(y)
+    from_modal = to_modal  # S is symmetric and orthogonal, so S^{-1} = S
+
+    def _resolvent(self, z, c):
+        return c / _spectral_gap(z, self.eigenvalues)
 
 
 class SineSpectralOperator(DiagonalOperator):

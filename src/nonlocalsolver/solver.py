@@ -15,7 +15,11 @@ plan: with use_symmetry=False the 2N+1 nodes are solved and each -k row is
 averaged with the conjugate of its k row. Both settings then store N+1
 coefficients, weighted 2 for k >= 1, and the real and imaginary parts of
 their resolvents as the rows of one real buffer, in descending k so that
-each sum adds its smallest terms first. u(t) is the real part of the sum,
+each sum adds its smallest terms first. The whole sum runs in the
+operator's modal coordinates (SectorialOperator.to_modal; the identity for an
+operator without a basis of its own): u0 is transformed once, each node
+applies the modified resolvent to those coefficients, and each requested time
+costs one from_modal back to the state. u(t) is the real part of the sum,
 formed by one matrix product per fixed block of _BLOCK times, so a time's
 value does not depend on the other times of the call. Complex weights are
 rejected (see quadrature.nonlocal_integral), and u0 is real, so the data
@@ -195,7 +199,9 @@ class _Plan:
     Holds, per Sinc node z_k with k = N..0, the coefficient
     c_k = z'(kh) / (2 pi i (1 + I_n(z_k))), doubled for k >= 1 to account for
     the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
-    resolvent applied to u0, in one (2(N+1), dim) real buffer.
+    resolvent applied to u0, in one (2(N+1), dim) real buffer. The rows are
+    modal coefficients: u0 goes through op.to_modal once, and samples applies
+    op.from_modal once to the summed values of all requested times.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
@@ -225,10 +231,11 @@ class _Plan:
         nodes = contour_point(contour, ks * self.h)
         z = nodes.z
         coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
-        u0c = problem.u0.astype(complex)
-        r1 = np.empty((len(z), 2, problem.op.dim))
+        self.op = problem.op
+        c0 = self.op.to_modal(problem.u0).astype(complex)  # converted once, not per node
+        r1 = np.empty((len(z), 2, self.op.dim))
         for row, zk in zip(r1, z):
-            r = problem.op.modified_resolvent_apply(zk, u0c)
+            r = self.op.modified_resolvent_apply(zk, c0)
             row[0], row[1] = r.real, r.imag
         if not config.use_symmetry:
             # fold the -k rows onto k (Re parts add, Im parts subtract): exact
@@ -254,6 +261,7 @@ class _Plan:
         for b in range(0, len(ts), _BLOCK):
             values[b:b + _BLOCK] = (e[b:b + _BLOCK] @ self.r1)[:len(ts) - b]
         values *= self.h
+        values = self.op.from_modal(values)
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
                 for t, v in zip(ts, values)]
 

@@ -222,6 +222,17 @@ class TestMain:
             assert main(["solve", "--config", str(cfg)]) == 2
             assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator, extra, key", [
+        ("sine_spectral", "modes = abc\n", "modes"),
+        ("laplacian1d", "m = abc\n", "m"),
+        ("diagonal:1", "c1 = abc\n", "c1"),
+    ], ids=["modes", "m", "c1"])
+    def test_malformed_number_exit_code(self, tmp_path, capsys, operator, extra, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", operator) + extra)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"config error: key {key}: expected" in capsys.readouterr().err
+
     def test_bad_order_exit_code(self, capsys):
         for argv in (["reproduce", "--example", "1", "--n", "-1", "--N", "16"],
                      ["reproduce", "--example", "1", "--n", "129", "--N", "16"],

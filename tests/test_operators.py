@@ -76,6 +76,11 @@ class TestDiagonalOperator:
         op.modified_resolvent_apply(5.0, [1.0, 1.0])
         assert op.resolvent_calls == 2
 
+    def test_identity_basis(self):
+        op = DiagonalOperator([1.0, 2.0])
+        v = np.array([0.5, -1.0])
+        assert op.to_modal(v) is v and op.from_modal(v) is v
+
     def test_spectral_bounds(self):
         op = DiagonalOperator([2.5, 9.0])
         assert op.spectral.rho0 == 2.5
@@ -171,6 +176,27 @@ class TestLaplacian1D:
             a = op.resolvent_apply(np.conj(z), np.conj(v))
             b = np.conj(op.resolvent_apply(z, v))
             assert np.max(np.abs(a - b)) == 0.0
+
+    def test_modal_round_trip(self):
+        op = Laplacian1D(1000)
+        rng = np.random.default_rng(12)
+        v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+        back = op.from_modal(op.to_modal(v))
+        assert np.linalg.norm(back - v) <= 1e-14 * np.linalg.norm(v)
+
+    def test_modified_resolvent_in_modal_coordinates(self):
+        op = Laplacian1D(1000)
+        rng = np.random.default_rng(13)
+        v = rng.normal(size=op.dim) + 1j * rng.normal(size=op.dim)
+        c = op.to_modal(v)
+        for z in _plan_nodes(op):
+            got = op.from_modal(op.modified_resolvent_apply(z, c))
+            r = op.resolvent_apply(z, v)
+            # relative to the two terms: their difference cancels by a factor
+            # of up to |z| / lambda_m, about 1e5 at the outermost node
+            scale = max(np.linalg.norm(r), np.linalg.norm(v / z))
+            assert np.linalg.norm(got - (r - v / z)) <= 1e-13 * scale
+        assert op.resolvent_calls == 2 * 65
 
     def test_refuses_extreme_eigenvalues(self):
         m = 1000

@@ -37,6 +37,12 @@ def _scalar_problem(lam=1.0, w=None, T=1.0, u0=1.0):
     )
 
 
+def _laplacian_problem(m):
+    op = Laplacian1D(m)
+    return NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(),
+                           u0=np.sin(math.pi * op.grid))
+
+
 class TestProblemValidation:
     def test_rejects_bad_T(self):
         for T in (0.0, math.inf, math.nan):
@@ -188,14 +194,14 @@ class TestSolveAt:
             assert np.max(np.abs(folded.value - full.value)) <= 1e-15 * denom
 
     def test_fold_halves_resolvent_calls(self):
-        problem = _scalar_problem(lam=2.0)
         N = 20
-        problem.op.resolvent_calls = 0
-        solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=True), 0.5)
-        assert problem.op.resolvent_calls == N + 1
-        problem.op.resolvent_calls = 0
-        solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=False), 0.5)
-        assert problem.op.resolvent_calls == 2 * N + 1
+        for problem in (_scalar_problem(lam=2.0), _laplacian_problem(50)):
+            problem.op.resolvent_calls = 0
+            solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=True), 0.5)
+            assert problem.op.resolvent_calls == N + 1
+            problem.op.resolvent_calls = 0
+            solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=False), 0.5)
+            assert problem.op.resolvent_calls == 2 * N + 1
 
     def test_grid_metadata(self):
         problem = _scalar_problem()
@@ -275,11 +281,12 @@ class TestSolveMany:
         assert samples[0].value[0] == samples[1].value[0]
 
     def test_resolvent_reuse(self):
-        problem = _scalar_problem(lam=2.0, w=WeightFunction.cos(), T=0.5)
         N = 16
-        problem.op.resolvent_calls = 0
-        solve_many(problem, SolverConfig(n=4, N=N), [0.5, 1.0, 2.0])
-        assert problem.op.resolvent_calls == N + 1
+        for problem in (_scalar_problem(lam=2.0, w=WeightFunction.cos(), T=0.5),
+                        _laplacian_problem(50)):
+            problem.op.resolvent_calls = 0
+            solve_many(problem, SolverConfig(n=4, N=N), [0.5, 1.0, 2.0])
+            assert problem.op.resolvent_calls == N + 1
 
 
 class TestOracleAgreement:
@@ -297,6 +304,29 @@ class TestOracleAgreement:
             sample = solve_at(problem, SolverConfig(n=16, N=64, step=CalibratedStep()), t)
             ref = reference_solution(op, w, 0.5, u0, t)
             assert abs(sample.value[0] - ref[0]) <= 1e-10 * abs(ref[0])
+
+    @pytest.mark.parametrize("m", [200, 1000])
+    def test_fd_laplacian_modes(self, m):
+        # u0 is a sum of discrete eigenvectors, so the FD problem decouples
+        # into the scalar modes e^{-lambda_k t} a_k / (1 + J(lambda_k))
+        from nonlocalsolver.oracle import weight_laplace_integral
+
+        op = Laplacian1D(m)
+        ks = np.arange(1, 9)
+        j = np.arange(1, m + 1)
+        basis = np.sin(math.pi * (np.outer(ks, j) % (2 * (m + 1))) / (m + 1))
+        amps = np.cos(ks + 0.5)
+        u0 = amps @ basis
+        w, T = WeightFunction.cos(), 1.0
+        lam = op.eigenvalue(ks)
+        den = np.array([1.0 + weight_laplace_integral(w, float(l), T) for l in lam])
+        problem = NonlocalProblem(op=op, T=T, w=w, u0=u0)
+        ts = [0.01, 0.1, 1.0]
+        for use_symmetry in (True, False):
+            config = SolverConfig(n=16, N=64, step=CalibratedStep(), use_symmetry=use_symmetry)
+            for t, sample in zip(ts, solve_many(problem, config, ts)):
+                ref = (amps * np.exp(-lam * t) / den) @ basis
+                assert np.max(np.abs(sample.value - ref)) <= 1e-13 * np.max(np.abs(u0))
 
     def test_sine_spectral_benchmark(self):
         from nonlocalsolver import reference_solution
