@@ -7,6 +7,7 @@ Subcommands:
 """
 
 import argparse
+import functools
 import math
 import sys
 
@@ -67,6 +68,8 @@ class RunConfig:
             raise ConfigError(f"key alpha: must lie in (0,1), got {self.alpha}")
         self.rho1 = self._float("rho1")
         self.x = self._float("x")
+        if not math.isfinite(self.x):
+            raise ConfigError(f"key x: must be finite, got {self.x}")
         self.u0_spec = raw["u0"]
         self.out = raw.get("out")
         self.weight = _parse_weight(raw["weight"])
@@ -125,7 +128,10 @@ def _parse_step(spec, c1):
     if spec == "uniform":
         return UniformStep()
     if spec == "large_t":
-        return LargeTStep(c1=c1)
+        try:
+            return LargeTStep(c1=c1)
+        except ValueError as e:
+            raise ConfigError(f"key c1: {e}")
     if spec == "calibrated":
         return CalibratedStep()
     if spec.startswith("fixed:"):
@@ -333,7 +339,10 @@ def run_solve(rc: RunConfig):
     return rows
 
 
-def _main(argv):
+@functools.cache
+def _parser():
+    """The argument parser, built once per process: main can be called
+    repeatedly in-process, and help text is still laid out when printed."""
     parser = argparse.ArgumentParser(
         prog="nonlocalsolver",
         description="Contour-quadrature solver for evolution equations with "
@@ -356,8 +365,11 @@ def _main(argv):
     p_conv.add_argument("--n", type=int, required=True, help=N_HELP)
     p_conv.add_argument("--N-list", required=True, help="comma-separated N values")
     p_conv.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def _main(argv):
+    args = _parser().parse_args(argv)
 
     if args.command == "solve":
         try:

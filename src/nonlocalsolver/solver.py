@@ -20,10 +20,12 @@ operator's modal coordinates (SectorialOperator.to_modal; the identity for an
 operator without a basis of its own): u0 is transformed once, each node
 applies the modified resolvent to those coefficients, and each requested time
 costs one from_modal back to the state. u(t) is the real part of the sum,
-formed by one matrix product per fixed block of _BLOCK times, so a time's
-value does not depend on the other times of the call. Complex weights are
-rejected (see quadrature.nonlocal_integral), and u0 is real, so the data
-are conjugate-symmetric.
+formed by one matrix product per fixed block of _BLOCK times and column tile
+of the buffer. A tile holds about _TILE_BYTES, so it stays in cache while
+every block runs over it, and its width follows from the buffer's shape
+alone; so a time's value does not depend on the other times of the call.
+Complex weights are rejected (see quadrature.nonlocal_integral), and u0 is
+real, so the data are conjugate-symmetric.
 """
 
 import math
@@ -49,6 +51,9 @@ MAX_GAUSS_ORDER = 128
 # rows per matrix product in _Plan.samples; fixed, so that a row's rounding
 # does not depend on the number of times requested
 _BLOCK = 8
+# bytes of the node buffer that one column tile of _Plan.samples holds: small
+# enough to stay in a 2 MiB L2 while every block of times runs over it
+_TILE_BYTES = 512 * 1024
 
 
 @dataclass(frozen=True)
@@ -67,6 +72,10 @@ class LargeTStep:
     """Step rule tuned for large evaluation times."""
 
     c1: float = 1.0
+
+    def __post_init__(self):
+        if not (self.c1 > 0):
+            raise ValueError(f"c1 must be positive, got {self.c1}")
 
     def step_size(self, problem, contour, N):
         return sinc_step_large_t(N, self.c1)
@@ -135,6 +144,8 @@ class SolverConfig:
             raise ValueError(f"n and N must be integers >= 0, got {self.n}, {self.N}")
         if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
             raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
+        if not (0.0 <= self.rho1 < math.inf):
+            raise ValueError(f"rho1 must be finite and >= 0, got {self.rho1}")
         if not hasattr(self.step, "step_size"):
             raise ValueError(f"unknown step mode {self.step!r}")
 
@@ -201,11 +212,16 @@ class _Plan:
     the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
     resolvent applied to u0, in one (2(N+1), dim) real buffer. The rows are
     modal coefficients: u0 goes through op.to_modal once, and samples applies
-    op.from_modal once to the summed values of all requested times.
+    op.from_modal once to the summed values of all requested times. samples
+    runs over the buffer one column tile at a time, 64 columns or a multiple,
+    and over each tile in zero-padded blocks of _BLOCK times.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
-        contour = make_contour(problem.op.spectral, config.rho1)
+        try:  # rho1 < rho0 can only be checked once the operator is known
+            contour = make_contour(problem.op.spectral, config.rho1)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         self.report = check_existence(problem, contour)
         if not self.report.sharp_ok:
             raise ExistenceError(
@@ -219,7 +235,10 @@ class _Plan:
                 stacklevel=3,
             )
         rule = gauss_legendre(config.n)
-        self.h = config.step.step_size(problem, contour, config.N)
+        try:  # a step rule may refuse N, as the large-t rule refuses N < 2
+            self.h = config.step.step_size(problem, contour, config.N)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         self.grid = (self.h, config.N, config.n)
         N = config.N
         with np.errstate(all="ignore"):  # refused before any per-node array exists
@@ -257,9 +276,15 @@ class _Plan:
         # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
         # [Re R1_k, Im R1_k], so each product row is Re(f R1)
         e = f.conj().view(float)
-        values = np.empty((len(ts), self.r1.shape[1]))
-        for b in range(0, len(ts), _BLOCK):
-            values[b:b + _BLOCK] = (e[b:b + _BLOCK] @ self.r1)[:len(ts) - b]
+        rows, dim = self.r1.shape
+        # a multiple of 64 columns, set by the buffer's shape and never by the
+        # number of times, so that tiling cannot change a time's value either
+        width = max(64, _TILE_BYTES // (rows * self.r1.itemsize) // 64 * 64)
+        values = np.empty((len(ts), dim))
+        for c in range(0, dim, width):
+            tile = self.r1[:, c:c + width]
+            for b in range(0, len(ts), _BLOCK):
+                values[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
         values *= self.h
         values = self.op.from_modal(values)
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from nonlocalsolver import ConfigError
+from nonlocalsolver import ConfigError, cli
 from nonlocalsolver.cli import (
     emit_csv,
     main,
@@ -222,6 +222,27 @@ class TestMain:
             assert main(["solve", "--config", str(cfg)]) == 2
             assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, key", [
+        ("rho1 = 50\n", "rho1"), ("rho1 = nan\n", "rho1"), ("rho1 = -1\n", "rho1"),
+        ("step_mode = large_t\nN = 1\n", "N >= 2"),
+        ("step_mode = large_t\nc1 = nan\n", "c1"),
+    ], ids=["rho1-above-rho0", "rho1-nan", "rho1-negative", "large_t-N1", "large_t-c1-nan"])
+    def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, key):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9") + extra)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and key in err
+
+    @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 8", "laplacian1d\nm = 8"],
+                             ids=["sine_spectral", "laplacian1d"])
+    def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):
+        cfg = tmp_path / "bad.cfg"
+        for x in ("nan", "inf"):
+            cfg.write_text(BASE.replace("diagonal:1", operator) + f"x = {x}\n")
+            assert main(["solve", "--config", str(cfg)]) == 2
+            assert "config error: key x" in capsys.readouterr().err
+
     @pytest.mark.parametrize("operator, extra, key", [
         ("sine_spectral", "modes = abc\n", "modes"),
         ("laplacian1d", "m = abc\n", "m"),
@@ -266,3 +287,26 @@ class TestMain:
 
         monkeypatch.setattr(cli_mod, "run_solve", boom)
         assert main(["solve", "--config", str(cfg)]) == 4
+
+
+class TestInProcessReuse:
+    def test_parser_built_once(self):
+        assert cli._parser() is cli._parser()
+
+    def test_repeated_calls_identical(self, tmp_path, capsys):
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9").replace("t = 0.5", "t = 0.1, 0.5"))
+        argv = ["solve", "--config", str(cfg)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        # an argparse error in between leaves the next call unchanged
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert main(["converge", "--n", "8", "--N-list", "4"]) == 0
+        conv = capsys.readouterr().out
+        assert main(["converge", "--n", "8", "--N-list", "4"]) == 0
+        assert capsys.readouterr().out == conv

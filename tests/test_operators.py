@@ -308,3 +308,37 @@ def test_resolvent_rejects_nonfinite_z():
             with pytest.raises(ValueError):
                 op.modified_resolvent_apply(z, v)
         assert op.resolvent_calls == 0
+
+
+def test_singularity_check_matches_full_scan():
+    # the check reads only the eigenvalues around Re z; it must refuse exactly
+    # when the distance to the whole spectrum is below 1e-14*|z|
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for _ in range(40):
+        lam = np.sort(rng.choice(rng.uniform(0.5, 1e4, 12), size=16))  # with repeats
+        op = DiagonalOperator(lam)
+        v = np.ones(op.dim)
+        zs = [0.5 * lam[0] + 3j, 2.0 * lam[-1] - 1j, lam[-1] + 1e-9,
+              (lam[3] + lam[4]) / 2 + 1e-3j, lam[5] + 0j]
+        for j in rng.integers(0, lam.size, 4):
+            for s in (0.5, 0.999999, 1.0, 1.000001, 2.0):
+                for sign in (1.0, -1.0):
+                    zs.append(lam[j] * (1 + sign * s * 1e-14))
+                    zs.append(lam[j] + 1j * s * 1e-14 * lam[j])
+        for z in zs:
+            z = complex(z)
+            refused = np.min(np.abs(z - lam)) < 1e-14 * abs(z)
+            if refused:
+                with pytest.raises(NumericalError):
+                    op.resolvent_apply(z, v)
+            else:
+                assert np.array_equal(op.resolvent_apply(z, v), v / (z - lam))
+            outcomes.add(bool(refused))
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("m", [2, 3, 1000, 2001, 100000])
+def test_laplacian_spectrum_strictly_ascending(m):
+    # the singularity check assumes an ascending spectrum
+    assert np.all(np.diff(Laplacian1D(m).eigenvalues) > 0)

@@ -69,6 +69,12 @@ class TestProblemValidation:
             SolverConfig(n=-1)
         with pytest.raises(ValueError):
             FixedStep(h=0.0)
+        for c1 in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="c1 must be positive"):
+                LargeTStep(c1=c1)
+        for rho1 in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rho1"):
+                SolverConfig(rho1=rho1)
         with pytest.raises(ValueError):
             SolverConfig(step="uniform")
         for n, N in ((16.5, 64), (16, 64.5), (16.5, 64.5), (16.0, 64)):
@@ -221,6 +227,14 @@ class TestSolveAt:
             with pytest.raises(ValueError):
                 solve_at(problem, SolverConfig(n=4, N=8), t)
 
+    def test_refuses_config_the_operator_rules_out(self):
+        # rho1 must lie below rho0, and the large-t step needs N >= 2
+        problem = _scalar_problem(lam=5.0)
+        for config in (SolverConfig(rho1=5.0), SolverConfig(rho1=50.0),
+                       SolverConfig(N=1, step=LargeTStep())):
+            with pytest.raises(ConfigError):
+                solve_at(problem, config, 0.5)
+
     def test_refuses_nonfinite_outer_node(self):
         # with the default step N*h is about 2e3 at N = 200000 and 3e6 at
         # N = 10**12, where cosh overflows; the refusal must come before any
@@ -253,14 +267,19 @@ class TestSolveMany:
     def test_block_position_does_not_change_a_time(self):
         # 17 times fill two product blocks and a padded third, so each time
         # is summed at another row position, and beside other times, than in
-        # its own solve_at call
+        # its own solve_at call. The first three fit in one column tile of
+        # the node buffer; the rest span several, with a narrower last tile,
+        # and at N = 512 the tiles are 64 columns wide
         ts = [0.0, 0.3, 1e-3, math.inf, 0.05, 0.7, 0.01, 2.0, 0.125, 0.0,
               1.5, 0.02, 0.4, math.inf, 0.9, 3e-3, 1.0]
-        for op in (DiagonalOperator([2.0, 9.0, 30.0]), Laplacian1D(40), SineSpectralOperator(300)):
+        for op, N in ((DiagonalOperator([2.0, 9.0, 30.0]), 32), (Laplacian1D(40), 32),
+                      (SineSpectralOperator(300), 32), (SineSpectralOperator(2000), 64),
+                      (Laplacian1D(2000), 64), (Laplacian1D(2001), 64),
+                      (SineSpectralOperator(300), 512)):
             u0 = np.cos(np.arange(op.dim) + 0.5)
             problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(), u0=u0)
             for use_symmetry in (True, False):
-                config = SolverConfig(n=8, N=32, use_symmetry=use_symmetry)
+                config = SolverConfig(n=8, N=N, use_symmetry=use_symmetry)
                 many = solve_many(problem, config, ts)
                 assert [s.t for s in many] == ts
                 for t, sample in zip(ts, many):
