@@ -73,23 +73,24 @@ class SectorialOperator(ABC):
         if z == 0:
             raise ValueError("modified resolvent is undefined at z = 0")
         z, c = self._count(z, c)
-        return self._resolvent(z, c) - c / z
+        return self._resolvent(z, c) - c * (1 / z)
 
 
-def _spectral_gap(z, eigenvalues):
-    """z - eigenvalues, refusing a z within 1e-14*|z| of an eigenvalue.
+def _eigen_resolvent(op, z, c):
+    """c / (z - op.eigenvalues), refusing a z within 1e-14*|z| of an eigenvalue;
+    the _resolvent of an operator that is diagonal in its modal coordinates.
 
     The eigenvalues must be real and ascending. Rounding is monotone, so
     |z - lambda| is then smallest at one of the two eigenvalues around Re z,
     and only those two are checked: the same refusals as a check of all of
     them, in O(log d). An operator with complex eigenvalues needs a check of
     its own."""
-    gap = z - eigenvalues
-    i = int(eigenvalues.searchsorted(z.real))
+    gap = z - op.eigenvalues
+    i = int(op.eigenvalues.searchsorted(z.real))
     if min(abs(gap[max(i - 1, 0)]), abs(gap[min(i, gap.size - 1)])) < 1e-14 * abs(z):
         raise NumericalError(f"resolvent nearly singular: z = {z} within 1e-14*|z| "
                              "of an eigenvalue")
-    return gap
+    return c / gap
 
 
 class DiagonalOperator(SectorialOperator):
@@ -100,8 +101,8 @@ class DiagonalOperator(SectorialOperator):
         lam = np.asarray(eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if not np.all(lam > 0):
-            raise ValueError("all eigenvalues must be positive")
+        if not ((lam > 0) & (lam < math.inf)).all():
+            raise ValueError("all eigenvalues must be positive and finite")
         if not np.all(np.diff(lam) >= 0):
             raise ValueError("eigenvalues must be ascending")
         self.eigenvalues = lam
@@ -111,8 +112,7 @@ class DiagonalOperator(SectorialOperator):
     def apply(self, v):
         return self.eigenvalues * np.asarray(v)
 
-    def _resolvent(self, z, c):
-        return c / _spectral_gap(z, self.eigenvalues)
+    _resolvent = _eigen_resolvent
 
 
 class Laplacian1D(SectorialOperator):
@@ -163,8 +163,7 @@ class Laplacian1D(SectorialOperator):
 
     from_modal = to_modal  # S is symmetric and orthogonal, so S^{-1} = S
 
-    def _resolvent(self, z, c):
-        return c / _spectral_gap(z, self.eigenvalues)
+    _resolvent = _eigen_resolvent
 
 
 class SineSpectralOperator(DiagonalOperator):

@@ -234,6 +234,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
 
+    @pytest.mark.parametrize("eigenvalues", ["2,inf", "inf", "2,1e400", "2,nan"])
+    def test_nonfinite_eigenvalue_exit_code(self, tmp_path, capsys, eigenvalues):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", f"diagonal:{eigenvalues}"))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: key operator: all eigenvalues must be positive and finite" in err
+
     @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 8", "laplacian1d\nm = 8"],
                              ids=["sine_spectral", "laplacian1d"])
     def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):

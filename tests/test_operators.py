@@ -55,6 +55,9 @@ class TestDiagonalOperator:
             DiagonalOperator([2.0, 1.0])
         with pytest.raises(ValueError):
             DiagonalOperator([0.0, 1.0])
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                DiagonalOperator([2.0, bad])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):

@@ -21,9 +21,11 @@ from nonlocalsolver import (
     WeightFunction,
     check_existence,
     make_contour,
+    poly_x2_1mx_coefficients,
     solve_at,
     solve_many,
 )
+from nonlocalsolver.solver import _BLOCK, _NEGLIGIBLE, _TILE_BYTES, _Plan
 
 pytestmark = pytest.mark.filterwarnings("ignore:sup")
 
@@ -226,6 +228,10 @@ class TestSolveAt:
         for t in (-0.5, math.nan):
             with pytest.raises(ValueError):
                 solve_at(problem, SolverConfig(n=4, N=8), t)
+            # the refusal names the offending time wherever it stands
+            for ts in ([0.1, t], [0.0, 1.0, t, 0.5], [math.inf] * 9 + [t]):
+                with pytest.raises(ValueError, match=f"got {t}$"):
+                    solve_many(problem, SolverConfig(n=4, N=8), ts)
 
     def test_refuses_config_the_operator_rules_out(self):
         # rho1 must lie below rho0, and the large-t step needs N >= 2
@@ -264,10 +270,12 @@ class TestSolveMany:
                 for t, sample in zip(ts, many):
                     assert np.array_equal(sample.value, solve_at(problem, config, t).value)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_block_position_does_not_change_a_time(self):
         # 17 times fill two product blocks and a padded third, so each time
         # is summed at another row position, and beside other times, than in
-        # its own solve_at call. The first three fit in one column tile of
+        # its own solve_at call; t = inf, among finite times, must give its
+        # zeros without a warning. The first three fit in one column tile of
         # the node buffer; the rest span several, with a narrower last tile,
         # and at N = 512 the tiles are 64 columns wide
         ts = [0.0, 0.3, 1e-3, math.inf, 0.05, 0.7, 0.01, 2.0, 0.125, 0.0,
@@ -293,6 +301,34 @@ class TestSolveMany:
             sample = solve_at(problem, SolverConfig(n=8, N=16, use_symmetry=use_symmetry),
                               math.inf)
             assert np.array_equal(sample.value, np.zeros(10))
+
+    def test_negligible_weights_leave_sums_unchanged(self):
+        # example-2 data: at t > 0 the weights of the outer nodes fall below
+        # _NEGLIGIBLE, and zeroing them must give the sums of the unflushed
+        # weights bit for bit. The reference builds the weights one time at a
+        # time and runs the same tiled 8-row products
+        op = SineSpectralOperator(2000)
+        problem = NonlocalProblem(op=op, T=math.pi / 2, w=WeightFunction.cos_square(),
+                                  u0=poly_x2_1mx_coefficients(2000))
+        ts = list(np.geomspace(0.01, math.pi / 2, 50))
+        for use_symmetry in (True, False):
+            plan = _Plan(problem, SolverConfig(n=16, N=64, step=CalibratedStep(),
+                                               use_symmetry=use_symmetry))
+            f = np.zeros((-(-len(ts) // _BLOCK) * _BLOCK, len(plan.z)), dtype=complex)
+            for fj, t in zip(f, ts):
+                fj[:] = np.exp(-plan.z * t) * plan.coef
+            flushed = (f[:len(ts)] != 0) & (abs(f[:len(ts)]) < _NEGLIGIBLE)
+            assert flushed.sum() >= 20
+            e = f.conj().view(float)
+            rows, dim = plan.r1.shape
+            width = max(64, _TILE_BYTES // (rows * plan.r1.itemsize) // 64 * 64)
+            ref = np.empty((len(ts), dim))
+            for c in range(0, dim, width):
+                tile = plan.r1[:, c:c + width]
+                for b in range(0, len(ts), _BLOCK):
+                    ref[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
+            ref *= plan.h
+            assert np.array_equal(np.array([s.value for s in plan.samples(ts)]), ref)
 
     def test_repeated_times_identical(self):
         problem = _scalar_problem(lam=3.0)
