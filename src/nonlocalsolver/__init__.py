@@ -20,15 +20,7 @@ from .operators import (
     poly_x2_1mx_coefficients,
 )
 from .oracle import ModeProblem, mode_reference, reference_solution
-from .quadrature import (
-    GaussRule,
-    WeightFunction,
-    gauss_legendre,
-    nonlocal_integral,
-    sinc_step_calibrated,
-    sinc_step_large_t,
-    sinc_step_uniform,
-)
+from .quadrature import GaussRule, WeightFunction, gauss_legendre, nonlocal_integral
 from .solver import (
     CalibratedStep,
     ConditionReport,
@@ -55,6 +47,5 @@ __all__ = [
     "gauss_legendre", "make_contour", "make_laplacian1d",
     "make_self_adjoint_contour", "mode_reference",
     "nonlocal_integral", "poly_x2_1mx_coefficients", "reference_solution",
-    "shifted_axes", "sinc_step_calibrated", "sinc_step_large_t",
-    "sinc_step_uniform", "solve_at", "solve_many",
+    "shifted_axes", "solve_at", "solve_many",
 ]

@@ -73,7 +73,7 @@ class RunConfig:
         self.u0_spec = raw["u0"]
         self.out = raw.get("out")
         self.weight = _parse_weight(raw["weight"])
-        self.step = _parse_step(raw["step_mode"], self._float("c1"))
+        self.step = _parse_step(raw["step_mode"], self._float("c1"), self.alpha)
         try:
             self.ts = [float(p) for p in raw["t"].split(",") if p.strip()]
         except ValueError:
@@ -114,19 +114,18 @@ def _parse_weight(spec):
             raise ConfigError(f"key weight: bad constant in {spec!r}")
     if spec.startswith("poly:"):
         try:
-            coeffs = [float(p) for p in spec[len("poly:"):].split(",")]
+            return WeightFunction.polynomial(float(p) for p in spec[len("poly:"):].split(","))
         except ValueError:
             raise ConfigError(f"key weight: bad coefficient list in {spec!r}")
-        return WeightFunction.polynomial(coeffs)
     raise ConfigError(
         f"key weight: unknown form {spec!r} "
         "(expected cos, cos_square, const:C or poly:c0,c1,...)"
     )
 
 
-def _parse_step(spec, c1):
+def _parse_step(spec, c1, alpha):
     if spec == "uniform":
-        return UniformStep()
+        return UniformStep(alpha)
     if spec == "large_t":
         try:
             return LargeTStep(c1=c1)
@@ -327,7 +326,7 @@ def run_solve(rc: RunConfig):
     op = _build_operator(rc)
     u0 = _build_u0(rc, op)
     try:
-        problem = NonlocalProblem(op=op, T=rc.T, w=rc.weight, u0=u0, alpha=rc.alpha)
+        problem = NonlocalProblem(op=op, T=rc.T, w=rc.weight, u0=u0)
         config = SolverConfig(n=rc.n, N=rc.N, rho1=rc.rho1, step=rc.step)
     except ValueError as e:
         raise ConfigError(str(e))

@@ -1,9 +1,10 @@
 """Sectorial operators with resolvent application.
 
-Three concrete operators are provided: a plain diagonal test operator, a
-finite-difference 1D Laplacian with Dirichlet ends, solved in its exact DST-I
-eigenbasis, and an exact sine-spectral realization of the same Laplacian with
-no spatial discretization error. All expose (zI - A)^{-1} v, refusing a z within
+Three concrete operators are provided, all DiagonalOperators in a basis of
+their own: a plain diagonal test operator, a finite-difference 1D Laplacian
+with Dirichlet ends, diagonal in its exact DST-I basis, and an exact
+sine-spectral realization of the same Laplacian with no spatial
+discretization error. All expose (zI - A)^{-1} v, refusing a z within
 1e-14*|z| of an eigenvalue, and the spectral bounds that build the contour.
 """
 
@@ -76,25 +77,10 @@ class SectorialOperator(ABC):
         return self._resolvent(z, c) - c * (1 / z)
 
 
-def _eigen_resolvent(op, z, c):
-    """c / (z - op.eigenvalues), refusing a z within 1e-14*|z| of an eigenvalue;
-    the _resolvent of an operator that is diagonal in its modal coordinates.
-
-    The eigenvalues must be real and ascending. Rounding is monotone, so
-    |z - lambda| is then smallest at one of the two eigenvalues around Re z,
-    and only those two are checked: the same refusals as a check of all of
-    them, in O(log d). An operator with complex eigenvalues needs a check of
-    its own."""
-    gap = z - op.eigenvalues
-    i = int(op.eigenvalues.searchsorted(z.real))
-    if min(abs(gap[max(i - 1, 0)]), abs(gap[min(i, gap.size - 1)])) < 1e-14 * abs(z):
-        raise NumericalError(f"resolvent nearly singular: z = {z} within 1e-14*|z| "
-                             "of an eigenvalue")
-    return c / gap
-
-
 class DiagonalOperator(SectorialOperator):
-    """A = diag(lambda_1, ..., lambda_d) with positive ascending eigenvalues."""
+    """A = diag(lambda_1, ..., lambda_d) with positive ascending eigenvalues,
+    in the basis of to_modal/from_modal: the identity here, a subclass's own
+    basis otherwise."""
 
     def __init__(self, eigenvalues):
         super().__init__()
@@ -112,27 +98,35 @@ class DiagonalOperator(SectorialOperator):
     def apply(self, v):
         return self.eigenvalues * np.asarray(v)
 
-    _resolvent = _eigen_resolvent
+    def _resolvent(self, z, c):
+        """c / (z - eigenvalues), refusing a z within 1e-14*|z| of an eigenvalue.
+
+        The eigenvalues are real and ascending. Rounding is monotone, so
+        |z - lambda| is then smallest at one of the two eigenvalues around
+        Re z, and only those two are checked: the same refusals as a check of
+        all of them, in O(log d)."""
+        gap = z - self.eigenvalues
+        i = int(self.eigenvalues.searchsorted(z.real))
+        if min(abs(gap[max(i - 1, 0)]), abs(gap[min(i, gap.size - 1)])) < 1e-14 * abs(z):
+            raise NumericalError(f"resolvent nearly singular: z = {z} within 1e-14*|z| "
+                                 "of an eigenvalue")
+        return c / gap
 
 
-class Laplacian1D(SectorialOperator):
+class Laplacian1D(DiagonalOperator):
     """Finite-difference -d2/dx2 on (0,1) with Dirichlet ends, m interior points.
 
-    A_h = S diag(lambda_k) S with S the orthonormal DST-I matrix, so S is the
-    operator's eigenbasis: to_modal and from_modal both apply S, O(m log m),
-    and a resolvent solve on modal coefficients is a division by
-    z - lambda_k. It stays a SectorialOperator, not a DiagonalOperator: its
-    states are grid values, not coefficients."""
+    A_h = S diag(lambda_k) S with S the orthonormal DST-I matrix, so A_h is a
+    DiagonalOperator in the basis S. Its states are grid values: to_modal and
+    from_modal both apply S, O(m log m), and apply is the three-point stencil
+    on the grid, independent of S."""
 
     def __init__(self, m: int):
-        super().__init__()
-        if m < 2:
-            raise ValueError(f"need at least 2 interior points, got m = {m}")
+        if not (isinstance(m, (int, np.integer)) and m >= 2):
+            raise ValueError(f"need an integer number m >= 2 of interior points, got m = {m}")
         self.m = m
-        self.dim = m
         self.dx = 1.0 / (m + 1)
-        self.eigenvalues = self.eigenvalue(np.arange(1, m + 1))
-        self.spectral = SpectralBounds(rho0=float(self.eigenvalues[0]), phi=0.0)
+        super().__init__(self.eigenvalue(np.arange(1, m + 1)))
 
     @property
     def grid(self):
@@ -163,8 +157,6 @@ class Laplacian1D(SectorialOperator):
 
     from_modal = to_modal  # S is symmetric and orthogonal, so S^{-1} = S
 
-    _resolvent = _eigen_resolvent
-
 
 class SineSpectralOperator(DiagonalOperator):
     """Exact spectral realization of -d2/dx2 on (0,1) with Dirichlet ends.
@@ -174,8 +166,8 @@ class SineSpectralOperator(DiagonalOperator):
     """
 
     def __init__(self, modes: int):
-        if modes < 1:
-            raise ValueError(f"need at least one mode, got {modes}")
+        if not (isinstance(modes, (int, np.integer)) and modes >= 1):
+            raise ValueError(f"need an integer number of modes >= 1, got {modes}")
         super().__init__((np.arange(1, modes + 1) * math.pi) ** 2)
         self.modes = modes
 

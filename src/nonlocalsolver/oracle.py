@@ -92,20 +92,22 @@ def mode_reference(p: ModeProblem, t: float) -> float:
 
 
 def reference_solution(op, w: WeightFunction, T: float, u0, t: float) -> np.ndarray:
-    """Mode-wise reference solution for a diagonalizable operator.
+    """Mode-wise reference solution for a diagonal operator.
 
-    u0 is the coefficient vector in the operator's eigenbasis (for the
-    sine-spectral operator: analytic sine coefficients of the initial data).
+    u0 is a state of op; its coefficients op.to_modal(u0) in the operator's
+    basis are advanced mode by mode, and the result is mapped back with
+    op.from_modal (both the identity for a plain DiagonalOperator).
     """
     if not isinstance(op, DiagonalOperator):
         raise TypeError(
-            f"reference solutions exist only for diagonalizable operators, "
+            f"reference solutions exist only for diagonal operators, "
             f"got {type(op).__name__}"
         )
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.dim,):
         raise ValueError(f"u0 length {u0.shape} does not match dim {op.dim}")
+    c0 = op.to_modal(u0)
     out = np.empty(op.dim)
     for i, lam in enumerate(op.eigenvalues):
-        out[i] = mode_reference(ModeProblem(lam=float(lam), w=w, T=T, c0=u0[i]), t)
-    return out
+        out[i] = mode_reference(ModeProblem(lam=float(lam), w=w, T=T, c0=c0[i]), t)
+    return op.from_modal(out)

@@ -1,5 +1,5 @@
-"""Gauss-Legendre quadrature for the nonlocal weight integral and the
-step-size rules for the Sinc (trapezoid) quadrature over the contour."""
+"""Gauss-Legendre quadrature for the nonlocal weight integral I(z) and the
+weight functions it integrates."""
 
 import math
 import warnings
@@ -58,10 +58,13 @@ def gauss_legendre(n: int) -> GaussRule:
 class WeightFunction:
     """The weight w(s) of the nonlocal condition u(0) + int_0^T w(s)u(s)ds = u0.
 
-    Built through the class-method constructors; evaluation is vectorized.
+    Built through the class-method constructors, which refuse a non-finite
+    constant, coefficient or sup|w| hint; evaluation is vectorized.
     """
 
     def __init__(self, kind, fn, label, sup_hint=None):
+        if sup_hint is not None and not (0.0 <= sup_hint < math.inf):
+            raise ValueError(f"weight {label}: sup|w| must be finite and >= 0, got {sup_hint}")
         self.kind = kind
         self._fn = fn
         self.label = label
@@ -96,6 +99,8 @@ class WeightFunction:
     @classmethod
     def polynomial(cls, coeffs):
         c = [float(a) for a in coeffs]
+        if not all(map(math.isfinite, c)):
+            raise ValueError(f"weight polynomial coefficients must be finite, got {c}")
         poly = np.polynomial.Polynomial(c)
         label = "poly:" + ",".join(repr(a) for a in c)
         return cls("poly", poly, label)
@@ -169,33 +174,3 @@ def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
     ws = np.broadcast_to(ws, s.shape)
     out = np.matmul(outer[:, None, :], np.matmul(ws, inner[:, :, None])).reshape(z.shape)
     return out if out.ndim else complex(out)
-
-
-def sinc_step_uniform(d1: float, alpha: float, N: int) -> float:
-    """Step size balancing the strip and truncation errors uniformly in t."""
-    if not (0.0 < alpha < 1.0):
-        raise ValueError(f"alpha must lie in (0,1), got {alpha}")
-    if d1 <= 0 or N < 0:
-        raise ValueError("require d1 > 0 and N >= 0")
-    return math.sqrt(math.pi * d1 / (alpha * (N + 1)))
-
-
-def sinc_step_large_t(N: int, c1: float = 1.0) -> float:
-    """Step size tuned for evaluation at large times, h = c1*ln(N)/N."""
-    if N < 2:
-        raise ValueError(f"large-t step needs N >= 2, got {N}")
-    if not (c1 > 0):
-        raise ValueError(f"c1 must be positive, got {c1}")
-    return c1 * math.log(N) / N
-
-
-def sinc_step_calibrated(N: int) -> float:
-    """Aggressive step size calibrated on the built-in benchmark problems.
-
-    Decays like (N+1)^(-0.67), faster than the uniform rule's inverse square
-    root, trading the worst-case truncation guarantee for the accuracy the
-    benchmarks actually exhibit at moderate N.
-    """
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
-    return 1.71 * (N + 1) ** (-0.67)

@@ -242,6 +242,14 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: key operator: all eigenvalues must be positive and finite" in err
 
+    @pytest.mark.parametrize("weight", ["const:nan", "const:inf", "const:-inf",
+                                        "poly:nan,1", "poly:1,inf"])
+    def test_nonfinite_weight_exit_code(self, tmp_path, capsys, weight):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("weight = cos", f"weight = {weight}"))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert "config error: key weight" in capsys.readouterr().err
+
     @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 8", "laplacian1d\nm = 8"],
                              ids=["sine_spectral", "laplacian1d"])
     def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):

@@ -8,19 +8,19 @@ from nonlocalsolver import (
     Laplacian1D,
     NumericalError,
     SineSpectralOperator,
+    UniformStep,
     contour_point,
     make_contour,
     make_laplacian1d,
     make_self_adjoint_contour,
     poly_x2_1mx_coefficients,
-    sinc_step_uniform,
 )
 
 
 def _plan_nodes(op, N=64):
     """The folded Sinc nodes z_0..z_N of a default-step plan on op."""
     c = make_contour(op.spectral)
-    return contour_point(c, np.arange(N + 1) * sinc_step_uniform(c.d1, 0.5, N)).z
+    return contour_point(c, np.arange(N + 1) * UniformStep().step_size(None, c, N)).z
 
 
 class TestDiagonalOperator:
@@ -339,6 +339,14 @@ def test_singularity_check_matches_full_scan():
                 assert np.array_equal(op.resolvent_apply(z, v), v / (z - lam))
             outcomes.add(bool(refused))
     assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("make", [Laplacian1D, SineSpectralOperator])
+def test_rejects_non_integer_size(make):
+    for size in (2.5, 3.0, "3"):
+        with pytest.raises(ValueError, match="integer"):
+            make(size)
+    assert make(np.int64(3)).dim == 3
 
 
 @pytest.mark.parametrize("m", [2, 3, 1000, 2001, 100000])

@@ -5,9 +5,10 @@ import pytest
 
 from nonlocalsolver import (
     DiagonalOperator,
-    Laplacian1D,
     ModeProblem,
+    SectorialOperator,
     SineSpectralOperator,
+    SpectralBounds,
     WeightFunction,
     mode_reference,
     poly_x2_1mx_coefficients,
@@ -96,9 +97,20 @@ class TestReferenceSolution:
         assert abs(vals[0] - vals[1]) <= 1e-16
 
     def test_rejects_nondiagonalizable(self):
+        class Dense(SectorialOperator):
+            """A small dense operator that is not diagonal in any basis it knows."""
+
+            dim, a = 2, np.array([[2.0, 1.0], [0.0, 3.0]])
+            spectral = SpectralBounds(rho0=2.0)
+
+            def _resolvent(self, z, c):
+                return np.linalg.solve(z * np.eye(2) - self.a, c)
+
+            def apply(self, v):
+                return self.a @ v
+
         with pytest.raises(TypeError):
-            reference_solution(Laplacian1D(4), WeightFunction.zero(), 1.0,
-                               np.ones(4), 0.5)
+            reference_solution(Dense(), WeightFunction.zero(), 1.0, np.ones(2), 0.5)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

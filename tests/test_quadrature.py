@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from nonlocalsolver import (
+    CalibratedStep,
+    LargeTStep,
     SpectralBounds,
+    UniformStep,
     WeightFunction,
     contour_point,
     gauss_legendre,
     make_contour,
     nonlocal_integral,
-    sinc_step_calibrated,
-    sinc_step_large_t,
-    sinc_step_uniform,
 )
 
 
@@ -104,6 +104,21 @@ class TestWeightFunction:
         val, estimated = w.sup_norm(5.0)
         assert estimated and val == pytest.approx(1.0, rel=1e-6)
 
+    @pytest.mark.parametrize("make", [
+        lambda: WeightFunction.constant(math.nan),
+        lambda: WeightFunction.constant(math.inf),
+        lambda: WeightFunction.constant(-math.inf),
+        lambda: WeightFunction.polynomial([math.nan, 1.0]),
+        lambda: WeightFunction.polynomial([1.0, -math.inf]),
+        lambda: WeightFunction.from_callable(np.cos, sup_norm_hint=-1.0),
+        lambda: WeightFunction.from_callable(np.cos, sup_norm_hint=math.inf),
+        lambda: WeightFunction.from_callable(np.cos, sup_norm_hint=math.nan),
+    ], ids=["const-nan", "const-inf", "const-minus-inf", "poly-nan", "poly-minus-inf",
+            "hint-negative", "hint-inf", "hint-nan"])
+    def test_rejects_nonfinite_data(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
 
 class TestNonlocalIntegral:
     def test_zero_weight(self):
@@ -149,7 +164,8 @@ class TestNonlocalIntegral:
         # up to rounding, alone or among the other nodes
         contour = make_contour(SpectralBounds(rho0=math.pi**2))
         for n, N in [(4, 32), (8, 16), (16, 64)]:
-            zs = contour_point(contour, np.arange(N + 1) * sinc_step_calibrated(N)).z
+            h = CalibratedStep().step_size(None, contour, N)
+            zs = contour_point(contour, np.arange(N + 1) * h).z
             rule, w = gauss_legendre(n), WeightFunction.cos()
             vec = nonlocal_integral(rule, w, math.pi / 2, zs)
             for i, z in enumerate(zs):
@@ -173,45 +189,51 @@ class TestNonlocalIntegral:
             nonlocal_integral(gauss_legendre(2), WeightFunction.cos(), -1.0, 1.0)
 
 
+def _contour(phi=0.0):
+    """A contour with strip width d1 = pi/2 - phi."""
+    return make_contour(SpectralBounds(rho0=1.0, phi=phi))
+
+
 class TestStepRules:
+    # a rule reads only the contour's strip width and N, never the problem
     def test_uniform_value(self):
-        h = sinc_step_uniform(math.pi / 2, 0.5, 31)
+        h = UniformStep().step_size(None, _contour(), 31)
         assert h == pytest.approx(math.pi / (4 * math.sqrt(2)), rel=1e-15)
 
     def test_uniform_strip_scaling(self):
-        h_wide = sinc_step_uniform(math.pi / 2, 0.5, 31)
-        h_narrow = sinc_step_uniform(math.pi / 4, 0.5, 31)
+        h_wide = UniformStep().step_size(None, _contour(), 31)
+        h_narrow = UniformStep().step_size(None, _contour(math.pi / 4), 31)
         assert h_wide == pytest.approx(math.sqrt(2) * h_narrow, rel=1e-14)
 
     def test_uniform_inverse_sqrt_law(self):
-        assert sinc_step_uniform(1.0, 0.5, 31) == pytest.approx(
-            2 * sinc_step_uniform(1.0, 0.5, 127), rel=1e-14)
+        c = _contour(0.5)
+        assert UniformStep().step_size(None, c, 31) == pytest.approx(
+            2 * UniformStep().step_size(None, c, 127), rel=1e-14)
 
     def test_uniform_balance_identity(self):
-        for d1, alpha, N in [(math.pi / 2, 0.5, 16), (0.9, 0.25, 63), (1.3, 0.7, 5)]:
-            h = sinc_step_uniform(d1, alpha, N)
-            assert math.pi * d1 / h == pytest.approx(alpha * (N + 1) * h, rel=1e-13)
+        for phi, alpha, N in [(0.0, 0.5, 16), (0.67, 0.25, 63), (0.27, 0.7, 5)]:
+            c = _contour(phi)
+            h = UniformStep(alpha).step_size(None, c, N)
+            assert math.pi * c.d1 / h == pytest.approx(alpha * (N + 1) * h, rel=1e-13)
 
     def test_uniform_rejects_bad_alpha(self):
-        for alpha in (0.0, 1.0, -0.2, 1.5):
-            with pytest.raises(ValueError):
-                sinc_step_uniform(1.0, alpha, 8)
+        for alpha in (0.0, 1.0, -0.2, 1.5, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                UniformStep(alpha)
 
     def test_large_t_values(self):
-        assert sinc_step_large_t(7) == pytest.approx(math.log(7) / 7, rel=1e-15)
-        assert sinc_step_large_t(100) == pytest.approx(0.046052, rel=1e-4)
-        assert sinc_step_large_t(10, c1=2.0) == pytest.approx(
-            2 * sinc_step_large_t(10), rel=1e-15)
+        c = _contour()
+        assert LargeTStep().step_size(None, c, 7) == pytest.approx(math.log(7) / 7, rel=1e-15)
+        assert LargeTStep().step_size(None, c, 100) == pytest.approx(0.046052, rel=1e-4)
+        assert LargeTStep(c1=2.0).step_size(None, c, 10) == pytest.approx(
+            2 * LargeTStep().step_size(None, c, 10), rel=1e-15)
 
     def test_large_t_rejects_small_N(self):
-        with pytest.raises(ValueError):
-            sinc_step_large_t(1)
-        with pytest.raises(ValueError):
-            sinc_step_large_t(10, c1=0.0)
+        for N in (0, 1):
+            with pytest.raises(ValueError, match="N >= 2"):
+                LargeTStep().step_size(None, _contour(), N)
 
     def test_calibrated_decreasing(self):
-        hs = [sinc_step_calibrated(N) for N in (8, 16, 32, 64)]
+        hs = [CalibratedStep().step_size(None, _contour(), N) for N in (0, 8, 16, 32, 64)]
         assert all(h > 0 for h in hs)
         assert all(a > b for a, b in zip(hs, hs[1:]))
-        with pytest.raises(ValueError):
-            sinc_step_calibrated(-1)

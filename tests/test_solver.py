@@ -52,9 +52,12 @@ class TestProblemValidation:
                 _scalar_problem(T=T)
 
     def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
+        # alpha belongs to the uniform step rule alone, not to the problem
+        with pytest.raises(ValueError, match="alpha"):
+            UniformStep(alpha=1.0)
+        with pytest.raises(TypeError):
             NonlocalProblem(op=DiagonalOperator([1.0]), T=1.0,
-                            w=WeightFunction.zero(), u0=[1.0], alpha=1.0)
+                            w=WeightFunction.zero(), u0=[1.0], alpha=0.5)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -67,8 +70,9 @@ class TestProblemValidation:
                 _scalar_problem(u0=u0)
 
     def test_config_rejects_negative(self):
-        with pytest.raises(ValueError):
-            SolverConfig(n=-1)
+        for n, N in ((-1, 64), (16, -1)):
+            with pytest.raises(ValueError):
+                SolverConfig(n=n, N=N)
         with pytest.raises(ValueError):
             FixedStep(h=0.0)
         for c1 in (0.0, -1.0, math.nan):
@@ -364,6 +368,7 @@ class TestOracleAgreement:
     def test_fd_laplacian_modes(self, m):
         # u0 is a sum of discrete eigenvectors, so the FD problem decouples
         # into the scalar modes e^{-lambda_k t} a_k / (1 + J(lambda_k))
+        from nonlocalsolver import reference_solution
         from nonlocalsolver.oracle import weight_laplace_integral
 
         op = Laplacian1D(m)
@@ -377,10 +382,14 @@ class TestOracleAgreement:
         den = np.array([1.0 + weight_laplace_integral(w, float(l), T) for l in lam])
         problem = NonlocalProblem(op=op, T=T, w=w, u0=u0)
         ts = [0.01, 0.1, 1.0]
+        refs = [(amps * np.exp(-lam * t) / den) @ basis for t in ts]
+        for t, ref in zip(ts, refs):
+            # the oracle goes through the operator's own sine basis
+            oracle = reference_solution(op, w, T, u0, t)
+            assert np.max(np.abs(oracle - ref)) <= 1e-13 * np.max(np.abs(u0))
         for use_symmetry in (True, False):
             config = SolverConfig(n=16, N=64, step=CalibratedStep(), use_symmetry=use_symmetry)
-            for t, sample in zip(ts, solve_many(problem, config, ts)):
-                ref = (amps * np.exp(-lam * t) / den) @ basis
+            for ref, sample in zip(refs, solve_many(problem, config, ts)):
                 assert np.max(np.abs(sample.value - ref)) <= 1e-13 * np.max(np.abs(u0))
 
     def test_sine_spectral_benchmark(self):
