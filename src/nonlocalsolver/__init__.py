@@ -1,6 +1,8 @@
 """Contour-quadrature solver for the evolution equation u' + Au = 0 under
 the integral nonlocal condition u(0) + int_0^T w(s)u(s)ds = u0."""
 
+# the names outside __all__ stay importable from here for code that already
+# imports them, but only the names README.md documents are public
 from .contour import (
     Contour,
     PathPoint,
@@ -8,7 +10,6 @@ from .contour import (
     contour_point,
     make_contour,
     make_self_adjoint_contour,
-    shifted_axes,
 )
 from .errors import ConfigError, ExistenceError, NumericalError
 from .operators import (
@@ -19,7 +20,7 @@ from .operators import (
     make_laplacian1d,
     poly_x2_1mx_coefficients,
 )
-from .oracle import ModeProblem, mode_reference, reference_solution
+from .oracle import reference_solution
 from .quadrature import GaussRule, WeightFunction, gauss_legendre, nonlocal_integral
 from .solver import (
     CalibratedStep,
@@ -38,14 +39,10 @@ from .solver import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibratedStep", "ConditionReport", "ConfigError", "Contour",
-    "DiagonalOperator", "ExistenceError", "FixedStep", "GaussRule",
-    "Laplacian1D", "LargeTStep", "ModeProblem", "NonlocalProblem",
-    "NumericalError", "PathPoint", "SectorialOperator", "SineSpectralOperator",
-    "SolutionSample", "SolverConfig", "SpectralBounds", "UniformStep",
-    "WeightFunction", "check_existence", "contour_point",
-    "gauss_legendre", "make_contour", "make_laplacian1d",
-    "make_self_adjoint_contour", "mode_reference",
-    "nonlocal_integral", "poly_x2_1mx_coefficients", "reference_solution",
-    "shifted_axes", "solve_at", "solve_many",
+    "CalibratedStep", "ConditionReport", "ConfigError", "DiagonalOperator",
+    "ExistenceError", "FixedStep", "Laplacian1D", "LargeTStep",
+    "NonlocalProblem", "NumericalError", "SectorialOperator",
+    "SineSpectralOperator", "SolutionSample", "SolverConfig", "SpectralBounds",
+    "UniformStep", "WeightFunction", "check_existence", "reference_solution",
+    "solve_at", "solve_many",
 ]

@@ -29,6 +29,7 @@ from .solver import (
     NonlocalProblem,
     SolverConfig,
     UniformStep,
+    check_node_buffer,
     solve_at,
     solve_many,
 )
@@ -168,27 +169,23 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(raw)
 
 
-def _size(rc: RunConfig, key, alias):
-    """The integer under key, else under alias, else 0 (refused by the caller)."""
-    for k in (key, alias):
-        if k in rc.raw:
-            return rc._int(k)
-    return 0
+# the operators built from a size, each with the one key that holds it
+_SIZED = {"sine_spectral": ("modes", SineSpectralOperator), "laplacian1d": ("m", Laplacian1D)}
 
 
 def _build_operator(rc: RunConfig):
     spec = rc.operator
-    if spec == "sine_spectral":
-        modes = _size(rc, "modes", "m")
-        if modes < 1:
-            raise ConfigError("key modes: sine_spectral needs modes >= 1")
-        return SineSpectralOperator(modes)
-    if spec == "laplacian1d":
-        m = _size(rc, "m", "modes")
-        if m < 2:
-            raise ConfigError("key m: laplacian1d needs m >= 2")
-        return Laplacian1D(m)
-    if spec.startswith("diagonal:"):
+    kind = spec.partition(":")[0]
+    key, make = _SIZED.get(spec, (None, None))
+    if key is None and not spec.startswith("diagonal:"):
+        raise ConfigError(
+            f"key operator: unknown kind {rc.operator!r} "
+            "(expected sine_spectral, laplacian1d or diagonal:l1,l2,...)"
+        )
+    for k in ("m", "modes"):
+        if k != key and k in rc.raw:
+            raise ConfigError(f"key {k}: not read by operator {kind}")
+    if key is None:
         try:
             lams = [float(p) for p in spec[len("diagonal:"):].split(",")]
         except ValueError:
@@ -197,10 +194,14 @@ def _build_operator(rc: RunConfig):
             return DiagonalOperator(lams)
         except ValueError as e:
             raise ConfigError(f"key operator: {e}")
-    raise ConfigError(
-        f"key operator: unknown kind {rc.operator!r} "
-        "(expected sine_spectral, laplacian1d or diagonal:l1,l2,...)"
-    )
+    if key not in rc.raw:
+        raise ConfigError(f"missing required key {key!r} for operator {kind}")
+    size = rc._int(key)
+    try:  # refused before the operator allocates anything
+        check_node_buffer(rc.N, size)
+        return make(size)
+    except ValueError as e:
+        raise ConfigError(f"key {key}: {e}")
 
 
 def _build_u0(rc: RunConfig, op):

@@ -44,7 +44,6 @@ class Contour:
     a_I: float
     b_I: float
     d1: float
-    self_adjoint: bool = False
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,6 @@ def make_self_adjoint_contour(rho0: float) -> Contour:
         a_I=a,
         b_I=a,
         d1=math.pi / 2,
-        self_adjoint=True,
     )
 
 
@@ -99,16 +97,3 @@ def contour_point(c: Contour, zeta) -> PathPoint:
     dz = c.a_I * np.sinh(zeta) - 1j * c.b_I * np.cosh(zeta)
     return PathPoint(z=z, dz=dz)
 
-
-def shifted_axes(c: Contour, nu: float) -> tuple[float, float]:
-    """Axes (a(nu), b(nu)) of the hyperbola shifted by nu inside the strip.
-
-    nu = 0 recovers the integration contour; nu = d1/2 the spectral
-    hyperbola; nu = -d1/2 the innermost admissible hyperbola through rho1.
-    """
-    if abs(nu) > c.d1 / 2:
-        raise ValueError(f"|nu| = {abs(nu)} exceeds the strip half-width {c.d1 / 2}")
-    b = c.bounds
-    r = math.hypot(b.rho0, b.b0)
-    ang = c.d1 / 2 + b.phi - nu
-    return r * math.cos(ang), r * math.sin(ang)

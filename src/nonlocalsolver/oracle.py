@@ -11,7 +11,6 @@ code path deliberately disjoint from the contour machinery under test.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,22 +20,6 @@ from .quadrature import WeightFunction
 
 # fixed 10-point panel rule; numpy's own nodes, not the package's
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-@dataclass(frozen=True)
-class ModeProblem:
-    """One scalar eigenmode of the nonlocal problem."""
-
-    lam: float
-    w: WeightFunction
-    T: float
-    c0: float
-
-    def __post_init__(self):
-        if not (self.lam > 0):
-            raise ValueError(f"eigenvalue must be positive, got {self.lam}")
-        if not (self.T > 0):
-            raise ValueError(f"horizon must be positive, got {self.T}")
 
 
 def _panel_integral(f, a, b):
@@ -70,44 +53,46 @@ def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
     )
 
 
-def _cos_weight_integral_closed_form(lam: float, T: float) -> float:
-    """int_0^T cos(s) e^{-lam s} ds by the elementary antiderivative."""
-    return (lam - math.exp(-lam * T) * (lam * math.cos(T) - math.sin(T))) / (
-        1.0 + lam * lam
-    )
-
-
-def mode_reference(p: ModeProblem, t: float) -> float:
-    """Reference value of one mode at time t."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    J = weight_laplace_integral(p.w, p.lam, p.T)
-    if p.w.kind == "cos":
-        closed = _cos_weight_integral_closed_form(p.lam, p.T)
+def _mode_integral(w: WeightFunction, lam: float, T: float) -> float:
+    """J(lam), cross-checked for w = cos against its elementary antiderivative."""
+    J = weight_laplace_integral(w, lam, T)
+    if w.kind == "cos":
+        closed = (lam - math.exp(-lam * T) * (lam * math.cos(T) - math.sin(T))) / (
+            1.0 + lam * lam
+        )
         if abs(J - closed) > 1e-13 * max(1.0, abs(closed)):
             raise NumericalError(
                 f"adaptive integral {J!r} disagrees with the closed form {closed!r}"
             )
-    return math.exp(-p.lam * t) * p.c0 / (1.0 + J)
+    return J
 
 
-def reference_solution(op, w: WeightFunction, T: float, u0, t: float) -> np.ndarray:
-    """Mode-wise reference solution for a diagonal operator.
+def reference_solution(op, w: WeightFunction, T: float, u0, t) -> np.ndarray:
+    """Mode-wise reference solution for a diagonal operator at one time t, or
+    one row per time for a sequence t.
 
     u0 is a state of op; its coefficients op.to_modal(u0) in the operator's
     basis are advanced mode by mode, and the result is mapped back with
-    op.from_modal (both the identity for a plain DiagonalOperator).
+    op.from_modal (both the identity for a plain DiagonalOperator). J(lambda_k)
+    is computed once per mode, whatever the number of times.
     """
     if not isinstance(op, DiagonalOperator):
         raise TypeError(
             f"reference solutions exist only for diagonal operators, "
             f"got {type(op).__name__}"
         )
+    if not (T > 0):
+        raise ValueError(f"horizon must be positive, got {T}")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.dim,):
         raise ValueError(f"u0 length {u0.shape} does not match dim {op.dim}")
-    c0 = op.to_modal(u0)
-    out = np.empty(op.dim)
-    for i, lam in enumerate(op.eigenvalues):
-        out[i] = mode_reference(ModeProblem(lam=float(lam), w=w, T=T, c0=c0[i]), t)
-    return op.from_modal(out)
+    scalar = np.ndim(t) == 0
+    ts = [t] if scalar else list(t)
+    for s in ts:
+        if not (s >= 0):
+            raise ValueError(f"time must be nonnegative, got {s}")
+    lams = [float(lam) for lam in op.eigenvalues]
+    den = np.array([1.0 + _mode_integral(w, lam, T) for lam in lams])
+    rows = np.array([[math.exp(-lam * s) for lam in lams] for s in ts])
+    rows = rows.reshape(len(ts), op.dim) * op.to_modal(u0) / den
+    return op.from_modal(rows[0] if scalar else rows)

@@ -57,6 +57,9 @@ _TILE_BYTES = 512 * 1024
 # factors |f_k(t)| below this are set to zero in _Plan.samples, so that no
 # product runs subnormal; a fixed constant, not an option
 _NEGLIGIBLE = 2.0**-800
+# bytes a plan's real (K, 2, dim) node buffer may take; a larger plan is
+# refused before anything is allocated
+_NODE_BUFFER_BYTES = 2**30
 
 
 @dataclass(frozen=True)
@@ -200,6 +203,18 @@ def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionRepo
     )
 
 
+def check_node_buffer(N: int, dim: int, use_symmetry: bool = True) -> None:
+    """Refuse with ConfigError a plan whose node buffer, K = N+1 folded or
+    2N+1 full rows of 2*dim reals, exceeds _NODE_BUFFER_BYTES."""
+    K = N + 1 if use_symmetry else 2 * N + 1
+    size = K * 2 * dim * 8
+    if size > _NODE_BUFFER_BYTES:
+        raise ConfigError(
+            f"the node buffer of {K} nodes x dim {dim} needs {size / 2**30:.3g} GiB, "
+            f"above the limit of {_NODE_BUFFER_BYTES / 2**30:g} GiB"
+        )
+
+
 def _denominator(problem, rule, z):
     """1 + I_n(z) with a collapse check (z scalar or array)."""
     den = 1.0 + nonlocal_integral(rule, problem.w, problem.T, z)
@@ -253,6 +268,7 @@ class _Plan:
             outer = contour_point(contour, N * self.h)
         if not np.isfinite([outer.z, outer.dz]).all():
             raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
+        check_node_buffer(N, problem.op.dim, config.use_symmetry)
         # descending k: the terms decay with |k|, so the sums add the smallest first
         ks = np.arange(N, -1 if config.use_symmetry else -N - 1, -1)
         nodes = contour_point(contour, ks * self.h)

@@ -270,6 +270,31 @@ class TestMain:
         assert main(["solve", "--config", str(cfg)]) == 2
         assert f"config error: key {key}: expected" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("operator, size, key", [
+        ("sine_spectral", "m = 8", "m"),
+        ("laplacian1d", "modes = 8", "modes"),
+        ("diagonal:1", "m = 8", "m"),
+        ("diagonal:1", "modes = 8", "modes"),
+    ], ids=["sine-m", "laplacian-modes", "diagonal-m", "diagonal-modes"])
+    def test_size_key_not_read_exit_code(self, tmp_path, capsys, operator, size, key):
+        # each sized operator reads one key; a key it does not read is refused
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", operator) + size + "\n")
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert f"config error: key {key}: not read by operator" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("operator, size, message", [
+        ("laplacian1d", "m = 1\n", "config error: key m: need"),
+        ("sine_spectral", "modes = 0\n", "config error: key modes: need"),
+        ("laplacian1d", "", "config error: missing required key 'm'"),
+        ("sine_spectral", "", "config error: missing required key 'modes'"),
+    ], ids=["m1", "modes0", "m-missing", "modes-missing"])
+    def test_size_refusal_exit_code(self, tmp_path, capsys, operator, size, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", operator) + size)
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(message)
+
     def test_bad_order_exit_code(self, capsys):
         for argv in (["reproduce", "--example", "1", "--n", "-1", "--N", "16"],
                      ["reproduce", "--example", "1", "--n", "129", "--N", "16"],

@@ -8,7 +8,6 @@ from nonlocalsolver import (
     contour_point,
     make_contour,
     make_self_adjoint_contour,
-    shifted_axes,
 )
 from nonlocalsolver.contour import Contour
 
@@ -50,9 +49,8 @@ def _system_residuals(c):
     """Residuals of the two defining equations the closed form came from."""
     b = c.bounds
     r1 = c.a_I * math.cos(c.d1 / 2) + c.b_I * math.sin(c.d1 / 2) - b.rho0
-    # the innermost shifted hyperbola passes through (rho1, 0)
-    a_in, _ = shifted_axes(c, -c.d1 / 2)
-    r2 = a_in - c.rho1
+    # the innermost shifted hyperbola, at angle d1 + phi, passes through (rho1, 0)
+    r2 = math.hypot(b.rho0, b.b0) * math.cos(c.d1 + b.phi) - c.rho1
     return r1, r2
 
 
@@ -118,7 +116,6 @@ def test_self_adjoint_contour():
     assert c.a_I == c.b_I
     assert c.a_I == pytest.approx(math.pi**2 / math.sqrt(2), rel=1e-15)
     assert c.d1 == math.pi / 2
-    assert c.self_adjoint
     assert make_self_adjoint_contour(math.sqrt(2)).a_I == pytest.approx(1.0, abs=1e-16)
     with pytest.raises(ValueError):
         make_self_adjoint_contour(0.0)
@@ -153,38 +150,3 @@ def test_contour_point_real_part_at_least_vertex():
     for zeta in np.linspace(-4, 4, 41):
         assert contour_point(c, zeta).z.real >= c.a_I - 1e-12
 
-
-def test_shifted_axes_center_and_edges():
-    c = make_contour(SpectralBounds(rho0=3.0, phi=0.4), rho1=1.0)
-    a0, b0 = shifted_axes(c, 0.0)
-    assert a0 == pytest.approx(c.a_I, rel=1e-15)
-    assert b0 == pytest.approx(c.b_I, rel=1e-15)
-    a_out, b_out = shifted_axes(c, c.d1 / 2)
-    assert a_out == pytest.approx(c.bounds.rho0, rel=1e-13)
-    assert b_out == pytest.approx(c.bounds.b0, rel=1e-12)
-    a_in, _ = shifted_axes(c, -c.d1 / 2)
-    assert a_in == pytest.approx(c.rho1, rel=1e-12)
-
-
-def test_shifted_axes_rejects_outside_strip():
-    c = make_contour(SpectralBounds(rho0=3.0, phi=0.4), rho1=1.0)
-    with pytest.raises(ValueError):
-        shifted_axes(c, c.d1 / 2 + 1e-9)
-
-
-def test_shifted_axes_bounds_random():
-    rng = np.random.default_rng(123)
-    for _ in range(1000):
-        rho0 = rng.uniform(0.2, 20.0)
-        phi = rng.uniform(0.0, 1.4)
-        rho1 = rng.uniform(0.0, 0.8) * rho0
-        try:
-            c = make_contour(SpectralBounds(rho0=rho0, phi=phi), rho1=rho1)
-        except ValueError:
-            continue  # degenerate strip draw
-        nu = rng.uniform(-c.d1 / 2, c.d1 / 2)
-        a, b = shifted_axes(c, nu)
-        tol = 1e-12 * rho0
-        assert c.rho1 - tol <= a <= c.bounds.rho0 + tol
-        bmax = math.sqrt(c.bounds.b0**2 + rho0**2 - rho1**2)
-        assert c.bounds.b0 - tol <= b <= bmax + tol

@@ -5,12 +5,11 @@ import pytest
 
 from nonlocalsolver import (
     DiagonalOperator,
-    ModeProblem,
+    Laplacian1D,
     SectorialOperator,
     SineSpectralOperator,
     SpectralBounds,
     WeightFunction,
-    mode_reference,
     poly_x2_1mx_coefficients,
     reference_solution,
 )
@@ -43,31 +42,37 @@ class TestWeightLaplaceIntegral:
 
 
 class TestModeReference:
+    """One scalar mode, through reference_solution on a 1-d DiagonalOperator."""
+
+    @staticmethod
+    def _mode(lam, w, T, c0, t):
+        return reference_solution(DiagonalOperator([lam]), w, T, [c0], t)[0]
+
     def test_zero_weight(self):
-        p = ModeProblem(lam=2.0, w=WeightFunction.zero(), T=1.0, c0=3.0)
-        assert mode_reference(p, 0.7) == pytest.approx(3.0 * math.exp(-1.4), rel=1e-15)
+        got = self._mode(2.0, WeightFunction.zero(), 1.0, 3.0, 0.7)
+        assert got == pytest.approx(3.0 * math.exp(-1.4), rel=1e-15)
 
     def test_time_zero(self):
         lam, T = math.pi**2, math.pi / 2
         J = (lam + math.exp(-lam * T)) / (1 + lam * lam)
-        p = ModeProblem(lam=lam, w=WeightFunction.cos(), T=T, c0=1.0)
-        assert mode_reference(p, 0.0) == pytest.approx(1.0 / (1 + J), rel=1e-14)
+        got = self._mode(lam, WeightFunction.cos(), T, 1.0, 0.0)
+        assert got == pytest.approx(1.0 / (1 + J), rel=1e-14)
 
     def test_consistent_coefficient_gives_pure_exponential(self):
         # the initial coefficient 1 + J makes the denominator cancel exactly
         lam, T = math.pi**2, math.pi / 2
         J = (lam + math.exp(-lam * T)) / (1 + lam * lam)
-        p = ModeProblem(lam=lam, w=WeightFunction.cos(), T=T, c0=1.0 + J)
-        assert mode_reference(p, 1.0) == pytest.approx(math.exp(-lam), rel=1e-14)
+        got = self._mode(lam, WeightFunction.cos(), T, 1.0 + J, 1.0)
+        assert got == pytest.approx(math.exp(-lam), rel=1e-14)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ModeProblem(lam=0.0, w=WeightFunction.zero(), T=1.0, c0=1.0)
-        with pytest.raises(ValueError):
-            ModeProblem(lam=1.0, w=WeightFunction.zero(), T=0.0, c0=1.0)
-        p = ModeProblem(lam=1.0, w=WeightFunction.zero(), T=1.0, c0=1.0)
-        with pytest.raises(ValueError):
-            mode_reference(p, -1.0)
+        w = WeightFunction.zero()
+        for T in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError):
+                self._mode(1.0, w, T, 1.0, 0.5)
+        for t in (-1.0, math.nan, [0.5, -1.0], [math.nan]):
+            with pytest.raises(ValueError):
+                self._mode(1.0, w, 1.0, 1.0, t)
 
 
 class TestReferenceSolution:
@@ -76,8 +81,18 @@ class TestReferenceSolution:
         w = WeightFunction.cos()
         out = reference_solution(op, w, 0.5, [0.0, 2.0], 0.3)
         assert out[0] == 0.0
-        p = ModeProblem(lam=5.0, w=w, T=0.5, c0=2.0)
-        assert out[1] == mode_reference(p, 0.3)
+        assert out[1] == reference_solution(DiagonalOperator([5.0]), w, 0.5, [2.0], 0.3)[0]
+
+    @pytest.mark.parametrize("op", [DiagonalOperator([1.0, 4.0, 9.0]), Laplacian1D(40)],
+                             ids=["diagonal", "laplacian"])
+    def test_sequence_rows_equal_scalar_calls(self, op):
+        u0 = np.cos(np.arange(op.dim) + 0.5)
+        ts = [0.0, 0.01, 0.3, 1.0, math.inf]
+        rows = reference_solution(op, WeightFunction.cos(), 1.0, u0, ts)
+        assert rows.shape == (len(ts), op.dim)
+        for t, row in zip(ts, rows):
+            assert np.array_equal(row, reference_solution(op, WeightFunction.cos(), 1.0, u0, t))
+        assert reference_solution(op, WeightFunction.cos(), 1.0, u0, []).shape == (0, op.dim)
 
     def test_benchmark1_exact_solution(self):
         op = SineSpectralOperator(1)

@@ -1,4 +1,9 @@
+import pathlib
+import re
+
 import nonlocalsolver
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_star_import_exports_all():
@@ -10,3 +15,11 @@ def test_star_import_exports_all():
     assert set(names) <= namespace.keys()
     for name in names:
         assert getattr(nonlocalsolver, name) is namespace[name]
+
+
+def test_public_names_are_documented():
+    # __all__ holds the names the README documents, each in backquotes
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    undocumented = [name for name in nonlocalsolver.__all__
+                    if not any(re.search(rf"\b{name}\b", s) for s in spans)]
+    assert undocumented == []

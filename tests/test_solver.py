@@ -1,4 +1,8 @@
 import math
+import os
+import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -15,13 +19,16 @@ from nonlocalsolver import (
     LargeTStep,
     NonlocalProblem,
     NumericalError,
+    SectorialOperator,
     SineSpectralOperator,
     SolverConfig,
+    SpectralBounds,
     UniformStep,
     WeightFunction,
     check_existence,
     make_contour,
     poly_x2_1mx_coefficients,
+    reference_solution,
     solve_at,
     solve_many,
 )
@@ -383,9 +390,8 @@ class TestOracleAgreement:
         problem = NonlocalProblem(op=op, T=T, w=w, u0=u0)
         ts = [0.01, 0.1, 1.0]
         refs = [(amps * np.exp(-lam * t) / den) @ basis for t in ts]
-        for t, ref in zip(ts, refs):
-            # the oracle goes through the operator's own sine basis
-            oracle = reference_solution(op, w, T, u0, t)
+        # the oracle goes through the operator's own sine basis, once for all times
+        for oracle, ref in zip(reference_solution(op, w, T, u0, ts), refs):
             assert np.max(np.abs(oracle - ref)) <= 1e-13 * np.max(np.abs(u0))
         for use_symmetry in (True, False):
             config = SolverConfig(n=16, N=64, step=CalibratedStep(), use_symmetry=use_symmetry)
@@ -410,3 +416,71 @@ def test_no_warning_for_benign_problem():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         solve_at(problem, SolverConfig(n=4, N=16), 0.5)
+
+
+class _DenseSymmetric(SectorialOperator):
+    """The README's recipe for a custom operator: a dense symmetric matrix,
+    solved in the identity basis."""
+
+    def __init__(self, a):
+        super().__init__()
+        self.a = np.asarray(a, dtype=float)
+        self.dim = len(self.a)
+        self.spectral = SpectralBounds(float(np.linalg.eigvalsh(self.a)[0]))
+
+    def _resolvent(self, z, c):
+        return np.linalg.solve(z * np.eye(self.dim) - self.a, c)
+
+    def apply(self, v):
+        return self.a @ v
+
+
+def test_custom_operator_matches_its_eigenbasis():
+    op = _DenseSymmetric([[3.0, 1.0], [1.0, 5.0]])
+    lam, V = np.linalg.eigh(op.a)
+    u0, w, T, ts = np.array([1.0, -0.5]), WeightFunction.cos(), 0.5, [0.05, 0.3, 1.0]
+    ref = reference_solution(DiagonalOperator(lam), w, T, V.T @ u0, ts) @ V.T
+    problem = NonlocalProblem(op=op, T=T, w=w, u0=u0)
+    N = 64
+    for use_symmetry, calls in ((True, N + 1), (False, 2 * N + 1)):
+        op.resolvent_calls = 0
+        config = SolverConfig(n=16, N=N, step=CalibratedStep(), use_symmetry=use_symmetry)
+        for sample, r in zip(solve_many(problem, config, ts), ref):
+            assert np.max(np.abs(sample.value - r)) <= 1e-13 * np.max(np.abs(u0))
+        assert op.resolvent_calls == calls
+
+
+def _run_capped(argv):
+    """Run python argv with 2 GiB of address space: a plan that escaped the
+    node-buffer budget would end in MemoryError, not exhaust the machine."""
+    cap = 2**31
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+class TestNodeBufferBudget:
+    def test_solve_many_refuses_before_allocating(self):
+        code = (
+            "import numpy as np\n"
+            "from nonlocalsolver import *\n"
+            "op = DiagonalOperator(np.arange(1.0, 2e6 + 1))\n"
+            "p = NonlocalProblem(op=op, T=1.0, w=WeightFunction.zero(), u0=np.ones(op.dim))\n"
+            "try:\n"
+            "    solve_many(p, SolverConfig(N=64), [0.5])\n"
+            "except ConfigError as e:\n"
+            "    print('refused:', e)\n"
+        )
+        r = _run_capped(["-c", code])
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("refused: the node buffer of 65 nodes x dim 2000000")
+
+    def test_cli_refuses_huge_m(self, tmp_path):
+        cfg = tmp_path / "big.cfg"
+        cfg.write_text("operator = laplacian1d\nm = 1000000000\nT = 1\nweight = cos\n"
+                       "u0 = sine:1\nt = 0.5\n")
+        r = _run_capped(["-m", "nonlocalsolver.cli", "solve", "--config", str(cfg)])
+        assert r.returncode == 2, r.stderr
+        assert r.stderr.startswith("config error: key m: the node buffer")
