@@ -122,6 +122,20 @@ class WeightFunction:
         return float(np.max(np.abs(self(s)))), True
 
 
+def integral_bytes(n: int, ratio: float) -> int:
+    """Bytes per node that nonlocal_integral may hold at once at order n, for
+    nodes with |z| / Re z <= ratio.
+
+    Then |z| s_max <= 37 ratio, so a node takes at most
+    P = min(1024, ceil(37 ratio / _panel_span(n))) panels. The count is 48
+    bytes, six reals, per Gauss point of P + 1 panels: by tracemalloc the call
+    peaks at 4.9 to 6.3 reals per point of its P panels, and the extra panel
+    covers its (K, n+1) arrays.
+    """
+    panels = min(_MAX_PANELS, math.ceil(_TAIL_EXPONENT * ratio / _panel_span(n)))
+    return 48 * (panels + 1) * (n + 1)
+
+
 def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
     """Composite Gauss approximation I_n(z) of int_0^T w(s) e^{-z s} ds.
 

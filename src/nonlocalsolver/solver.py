@@ -24,6 +24,12 @@ formed by one matrix product per fixed block of _BLOCK times and column tile
 of the buffer. A tile holds about _TILE_BYTES, so it stays in cache while
 every block runs over it, and its width follows from the buffer's shape
 alone; so a time's value does not depend on the other times of the call.
+When the buffer is larger than _L2_BYTES, its rows lie far apart and a
+strided tile is not kept in cache, so with more than one block each tile is
+first copied to contiguous scratch. Each full block writes its product
+straight into the output, and each finished tile is scaled by h. None of
+this changes a product's shape or operands, so no value depends on whether
+its tile was copied.
 The factors f_k(t) = c_k e^{-z_k t} of all times come from one vectorized
 exp, and those below _NEGLIGIBLE = 2^-800 in modulus are set to zero before
 the products: they decay double-exponentially in k, and their products with
@@ -44,16 +50,19 @@ import numpy as np
 from .contour import Contour, contour_point, make_contour
 from .errors import ConfigError, ExistenceError, NumericalError
 from .operators import SectorialOperator
-from .quadrature import WeightFunction, gauss_legendre, nonlocal_integral
+from .quadrature import WeightFunction, gauss_legendre, integral_bytes, nonlocal_integral
 
 TWO_PI_I = 2j * math.pi
 MAX_GAUSS_ORDER = 128
 # rows per matrix product in _Plan.samples; fixed, so that a row's rounding
 # does not depend on the number of times requested
 _BLOCK = 8
+# the L2 cache that _Plan.samples is sized for: a node buffer larger than
+# this has its column tiles copied to contiguous scratch before reuse
+_L2_BYTES = 2 * 1024 * 1024
 # bytes of the node buffer that one column tile of _Plan.samples holds: small
-# enough to stay in a 2 MiB L2 while every block of times runs over it
-_TILE_BYTES = 512 * 1024
+# enough to stay in L2 while every block of times runs over it
+_TILE_BYTES = _L2_BYTES // 4
 # factors |f_k(t)| below this are set to zero in _Plan.samples, so that no
 # product runs subnormal; a fixed constant, not an option
 _NEGLIGIBLE = 2.0**-800
@@ -203,14 +212,17 @@ def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionRepo
     )
 
 
-def check_node_buffer(N: int, dim: int, use_symmetry: bool = True) -> None:
+def check_node_buffer(N: int, dim: int, use_symmetry: bool = True,
+                      stage_bytes: int = 0) -> None:
     """Refuse with ConfigError a plan whose node buffer, K = N+1 folded or
-    2N+1 full rows of 2*dim reals, exceeds _NODE_BUFFER_BYTES."""
+    2N+1 full rows of 2*dim reals, together with stage_bytes per node for
+    the I(z) stage (quadrature.integral_bytes), exceeds _NODE_BUFFER_BYTES."""
     K = N + 1 if use_symmetry else 2 * N + 1
-    size = K * 2 * dim * 8
+    size = K * (2 * dim * 8 + stage_bytes)
     if size > _NODE_BUFFER_BYTES:
+        stage = " with its I(z) stage" if stage_bytes else ""
         raise ConfigError(
-            f"the node buffer of {K} nodes x dim {dim} needs {size / 2**30:.3g} GiB, "
+            f"the node buffer of {K} nodes x dim {dim}{stage} needs {size / 2**30:.3g} GiB, "
             f"above the limit of {_NODE_BUFFER_BYTES / 2**30:g} GiB"
         )
 
@@ -237,7 +249,11 @@ class _Plan:
     modal coefficients: u0 goes through op.to_modal once, and samples applies
     op.from_modal once to the summed values of all requested times. samples
     runs over the buffer one column tile at a time, 64 columns or a multiple,
-    and over each tile in zero-padded blocks of _BLOCK times.
+    copied to contiguous scratch when the buffer exceeds _L2_BYTES and there
+    is more than one block, and over each tile in blocks of _BLOCK times: the
+    full blocks write into the output, the last one is zero-padded. t_zero is
+    the time past which every factor is negligible, so samples leaves the
+    rows of later times zero.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
@@ -268,7 +284,10 @@ class _Plan:
             outer = contour_point(contour, N * self.h)
         if not np.isfinite([outer.z, outer.dz]).all():
             raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
-        check_node_buffer(N, problem.op.dim, config.use_symmetry)
+        # on the hyperbola |z| / Re z <= 1 / cos(d1/2 + phi), which bounds the panels
+        ratio = 1.0 / math.cos(contour.d1 / 2 + contour.bounds.phi)
+        check_node_buffer(N, problem.op.dim, config.use_symmetry,
+                          integral_bytes(config.n, ratio))
         # descending k: the terms decay with |k|, so the sums add the smallest first
         ks = np.arange(N, -1 if config.use_symmetry else -N - 1, -1)
         nodes = contour_point(contour, ks * self.h)
@@ -287,6 +306,11 @@ class _Plan:
             r1 = (r1[:N + 1] + r1[N:][::-1] * np.array([[1.0], [-1.0]])) / 2
         coef[:-1] *= 2.0
         self.z, self.coef = z, coef
+        # past t_zero every |f_k(t)| <= |c_k| e^{-t Re z_k} is below _NEGLIGIBLE / e,
+        # so samples leaves the time's row zero without forming t z_k, which
+        # overflows at a huge finite t
+        self.t_zero = float(np.max((np.log(np.abs(coef)) - math.log(_NEGLIGIBLE) + 1.0)
+                                   / z.real))
         self.r1 = r1.reshape(2 * len(z), -1)
 
     def samples(self, ts) -> list:
@@ -295,10 +319,11 @@ class _Plan:
             if not (t >= 0):
                 raise ValueError(f"time must be nonnegative, got {t}")
         t = np.array(ts, dtype=float)
-        finite = t < math.inf  # at t = inf every factor is 0
-        f = np.zeros((-(-len(ts) // _BLOCK) * _BLOCK, len(self.z)), dtype=complex)
-        live = f[:len(ts)]
-        live[finite] = np.exp(np.multiply.outer(-t[finite], self.z)) * self.coef
+        nt = len(ts)
+        kept = t <= self.t_zero  # the rows of later times, t = inf too, stay zero
+        f = np.zeros((-(-nt // _BLOCK) * _BLOCK, len(self.z)), dtype=complex)
+        live = f[:nt]
+        live[kept] = np.exp(np.multiply.outer(-t[kept], self.z)) * self.coef
         live[abs(live) < _NEGLIGIBLE] = 0.0
         # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
         # [Re R1_k, Im R1_k], so each product row is Re(f R1)
@@ -307,12 +332,24 @@ class _Plan:
         # a multiple of 64 columns, set by the buffer's shape and never by the
         # number of times, so that tiling cannot change a time's value either
         width = max(64, _TILE_BYTES // (rows * self.r1.itemsize) // 64 * 64)
-        values = np.empty((len(ts), dim))
+        full = nt - nt % _BLOCK
+        # a tile of a buffer larger than L2 has its rows far apart, so a block
+        # re-reading it would miss cache; with more than one block, each tile
+        # is first copied to contiguous scratch
+        packed = np.empty(rows * width) if self.r1.nbytes > _L2_BYTES and nt > _BLOCK else None
+        values = np.empty((nt, dim))
         for c in range(0, dim, width):
             tile = self.r1[:, c:c + width]
-            for b in range(0, len(ts), _BLOCK):
-                values[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
-        values *= self.h
+            if packed is not None:
+                dst = packed[:tile.size].reshape(tile.shape)
+                dst[...] = tile
+                tile = dst
+            out = values[:, c:c + width]
+            for b in range(0, full, _BLOCK):
+                np.matmul(e[b:b + _BLOCK], tile, out=out[b:b + _BLOCK])
+            if full < nt:
+                out[full:] = (e[full:full + _BLOCK] @ tile)[:nt - full]
+            out *= self.h
         values = self.op.from_modal(values)
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
                 for t, v in zip(ts, values)]

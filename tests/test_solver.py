@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import resource
@@ -32,7 +33,7 @@ from nonlocalsolver import (
     solve_at,
     solve_many,
 )
-from nonlocalsolver.solver import _BLOCK, _NEGLIGIBLE, _TILE_BYTES, _Plan
+from nonlocalsolver.solver import _BLOCK, _L2_BYTES, _NEGLIGIBLE, _TILE_BYTES, _Plan
 
 pytestmark = pytest.mark.filterwarnings("ignore:sup")
 
@@ -288,13 +289,16 @@ class TestSolveMany:
         # its own solve_at call; t = inf, among finite times, must give its
         # zeros without a warning. The first three fit in one column tile of
         # the node buffer; the rest span several, with a narrower last tile,
-        # and at N = 512 the tiles are 64 columns wide
+        # and at N = 512 the tiles are 64 columns wide. At 4096 modes the
+        # buffer exceeds L2, so its 9 full tiles and 64-column last tile are
+        # copied to scratch, and the two full blocks write into the output
         ts = [0.0, 0.3, 1e-3, math.inf, 0.05, 0.7, 0.01, 2.0, 0.125, 0.0,
               1.5, 0.02, 0.4, math.inf, 0.9, 3e-3, 1.0]
+        assert 2 * (64 + 1) * 4096 * 8 > _L2_BYTES
         for op, N in ((DiagonalOperator([2.0, 9.0, 30.0]), 32), (Laplacian1D(40), 32),
                       (SineSpectralOperator(300), 32), (SineSpectralOperator(2000), 64),
                       (Laplacian1D(2000), 64), (Laplacian1D(2001), 64),
-                      (SineSpectralOperator(300), 512)):
+                      (SineSpectralOperator(300), 512), (SineSpectralOperator(4096), 64)):
             u0 = np.cos(np.arange(op.dim) + 0.5)
             problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(), u0=u0)
             for use_symmetry in (True, False):
@@ -306,23 +310,26 @@ class TestSolveMany:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_time_is_zero(self):
+        # a huge finite t gives the same exact zeros, without overflowing t z_k
         problem = NonlocalProblem(op=Laplacian1D(10), T=0.5, w=WeightFunction.cos(),
                                   u0=np.ones(10))
         for use_symmetry in (True, False):
-            sample = solve_at(problem, SolverConfig(n=8, N=16, use_symmetry=use_symmetry),
-                              math.inf)
-            assert np.array_equal(sample.value, np.zeros(10))
+            config = SolverConfig(n=8, N=16, use_symmetry=use_symmetry)
+            for t in (math.inf, 1e300, 1.7e308):
+                assert np.array_equal(solve_at(problem, config, t).value, np.zeros(10))
 
     def test_negligible_weights_leave_sums_unchanged(self):
         # example-2 data: at t > 0 the weights of the outer nodes fall below
         # _NEGLIGIBLE, and zeroing them must give the sums of the unflushed
         # weights bit for bit. The reference builds the weights one time at a
-        # time and runs the same tiled 8-row products
-        op = SineSpectralOperator(2000)
-        problem = NonlocalProblem(op=op, T=math.pi / 2, w=WeightFunction.cos_square(),
-                                  u0=poly_x2_1mx_coefficients(2000))
+        # time and runs the same 8-row products on strided column tiles of the
+        # buffer, scaling at the end; at 4096 modes samples copies each tile
+        # to scratch and writes the full blocks into its output instead
         ts = list(np.geomspace(0.01, math.pi / 2, 50))
-        for use_symmetry in (True, False):
+        for modes, use_symmetry in itertools.product((2000, 4096), (True, False)):
+            op = SineSpectralOperator(modes)
+            problem = NonlocalProblem(op=op, T=math.pi / 2, w=WeightFunction.cos_square(),
+                                      u0=poly_x2_1mx_coefficients(modes))
             plan = _Plan(problem, SolverConfig(n=16, N=64, step=CalibratedStep(),
                                                use_symmetry=use_symmetry))
             f = np.zeros((-(-len(ts) // _BLOCK) * _BLOCK, len(plan.z)), dtype=complex)
@@ -476,6 +483,23 @@ class TestNodeBufferBudget:
         r = _run_capped(["-c", code])
         assert r.returncode == 0, r.stderr
         assert r.stdout.startswith("refused: the node buffer of 65 nodes x dim 2000000")
+
+    def test_solve_many_refuses_large_gauss_stage(self):
+        # a 32 MB node buffer, but the I(z) stage would build (K, P, n+1) arrays
+        # of about 0.8 GB each for its 2000001 nodes
+        code = (
+            "from nonlocalsolver import *\n"
+            "p = NonlocalProblem(op=DiagonalOperator([5.0]), T=1.0,\n"
+            "                    w=WeightFunction.zero(), u0=[1.0])\n"
+            "try:\n"
+            "    solve_many(p, SolverConfig(n=16, N=2 * 10**6, step=FixedStep(1e-5)), [0.5])\n"
+            "except ConfigError as e:\n"
+            "    print('refused:', e)\n"
+        )
+        r = _run_capped(["-c", code])
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith(
+            "refused: the node buffer of 2000001 nodes x dim 1 with its I(z) stage needs")
 
     def test_cli_refuses_huge_m(self, tmp_path):
         cfg = tmp_path / "big.cfg"
