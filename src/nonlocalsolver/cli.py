@@ -44,15 +44,51 @@ BENCH1_C0 = (1.0 + math.pi**4 + math.pi**2 + math.exp(-math.pi**3 / 2)) / (
 N_HELP = ("Gauss order: n+1 points per panel of the I(z) rule; the panel count "
           "is chosen per contour node")
 
-_KNOWN_KEYS = {
-    "operator", "modes", "m", "T", "weight", "u0", "n", "N",
-    "alpha", "rho1", "t", "x", "step_mode", "c1", "out",
+# every config key with its default: _REQUIRED marks the keys a config must
+# give, None the optional keys that have no default
+_REQUIRED = object()
+_KEYS = {
+    "operator": _REQUIRED, "T": _REQUIRED, "weight": _REQUIRED, "u0": _REQUIRED,
+    "t": _REQUIRED, "m": None, "modes": None, "out": None, "n": "16", "N": "64",
+    "alpha": "0.5", "rho1": "0", "x": "0.5", "step_mode": "uniform", "c1": "1",
 }
 
-_DEFAULTS = {
-    "n": "16", "N": "64", "alpha": "0.5", "rho1": "0",
-    "x": "0.5", "step_mode": "uniform", "c1": "1",
-}
+
+def _at(key, parse, *args, **kwargs):
+    """parse(...), refusing its ValueError as a ConfigError that names key."""
+    try:
+        return parse(*args, **kwargs)
+    except ValueError as e:  # ConfigError too; never nested, so one key per message
+        raise ConfigError(f"key {key}: {e}") from None
+
+
+def _int(text, low=None):
+    try:
+        v = int(text)
+    except ValueError:
+        raise ValueError(f"expected an integer, got {text!r}") from None
+    if low is not None and v < low:
+        raise ValueError(f"must be >= {low}, got {v}")
+    return v
+
+
+def _real(text, positive=False, within=None, source=""):
+    try:
+        v = float(text)
+    except ValueError:
+        raise ValueError(f"expected a real number{source}, got {text!r}") from None
+    if positive and not (0 < v < math.inf):
+        raise ValueError(f"must be positive and finite, got {v}")
+    if within and not (within[0] <= v <= within[1]):  # refuses nan too
+        raise ValueError(f"must lie in [{within[0]:g}, {within[1]:g}], got {v}")
+    return v
+
+
+def _times(text):
+    ts = [_real(p, within=(0, math.inf)) for p in text.split(",") if p.strip()]
+    if not ts:
+        raise ValueError("at least one time is required")
+    return ts
 
 
 class RunConfig:
@@ -61,46 +97,22 @@ class RunConfig:
     def __init__(self, raw):
         self.raw = raw
         self.operator = raw["operator"]
-        self.n = self._int("n", low=0)
-        self.N = self._int("N", low=0)
-        self.T = self._float("T", positive=True)
-        self.alpha = self._float("alpha")
-        if not (0.0 < self.alpha < 1.0):
-            raise ConfigError(f"key alpha: must lie in (0,1), got {self.alpha}")
-        self.rho1 = self._float("rho1")
-        self.x = self._float("x")
-        if not math.isfinite(self.x):
-            raise ConfigError(f"key x: must be finite, got {self.x}")
+        self.n = _at("n", _int, raw["n"], low=0)
+        self.N = _at("N", _int, raw["N"], low=0)
+        self.T = _at("T", _real, raw["T"], positive=True)
+        self.alpha = _at("alpha", _real, raw["alpha"])
+        uniform = _at("alpha", UniformStep, self.alpha)  # refused in every step mode
+        self.rho1 = _at("rho1", _real, raw["rho1"])
+        self.x = _at("x", _real, raw["x"], within=(0, 1))  # the problem lives on [0, 1]
         self.u0_spec = raw["u0"]
-        self.out = raw.get("out")
-        self.weight = _parse_weight(raw["weight"])
-        self.step = _parse_step(raw["step_mode"], self._float("c1"), self.alpha)
-        try:
-            self.ts = [float(p) for p in raw["t"].split(",") if p.strip()]
-        except ValueError:
-            raise ConfigError(f"key t: expected comma-separated reals, got {raw['t']!r}")
-        if not self.ts:
-            raise ConfigError("key t: at least one time is required")
-        if not all(t >= 0 for t in self.ts):
-            raise ConfigError("key t: times must be nonnegative")
-
-    def _int(self, key, low=None):
-        try:
-            v = int(self.raw[key])
-        except ValueError:
-            raise ConfigError(f"key {key}: expected an integer, got {self.raw[key]!r}")
-        if low is not None and v < low:
-            raise ConfigError(f"key {key}: must be >= {low}, got {v}")
-        return v
-
-    def _float(self, key, positive=False):
-        try:
-            v = float(self.raw[key])
-        except ValueError:
-            raise ConfigError(f"key {key}: expected a real number, got {self.raw[key]!r}")
-        if positive and not (0 < v < math.inf):
-            raise ConfigError(f"key {key}: must be positive and finite, got {v}")
-        return v
+        self.out = raw["out"]
+        self.weight = _at("weight", _parse_weight, raw["weight"])
+        c1 = _at("c1", _real, raw["c1"])
+        mode = raw["step_mode"]
+        # the large-t rule can refuse nothing but its c1
+        self.step = _at("c1" if mode == "large_t" else "step_mode",
+                        _parse_step, mode, c1, uniform)
+        self.ts = _at("t", _times, raw["t"])
 
 
 def _parse_weight(spec):
@@ -109,46 +121,31 @@ def _parse_weight(spec):
     if spec == "cos_square":
         return WeightFunction.cos_square()
     if spec.startswith("const:"):
-        try:
-            return WeightFunction.constant(float(spec[len("const:"):]))
-        except ValueError:
-            raise ConfigError(f"key weight: bad constant in {spec!r}")
+        return WeightFunction.constant(_real(spec[len("const:"):]))
     if spec.startswith("poly:"):
-        try:
-            return WeightFunction.polynomial(float(p) for p in spec[len("poly:"):].split(","))
-        except ValueError:
-            raise ConfigError(f"key weight: bad coefficient list in {spec!r}")
-    raise ConfigError(
-        f"key weight: unknown form {spec!r} "
-        "(expected cos, cos_square, const:C or poly:c0,c1,...)"
+        return WeightFunction.polynomial(map(_real, spec[len("poly:"):].split(",")))
+    raise ValueError(
+        f"unknown form {spec!r} (expected cos, cos_square, const:C or poly:c0,c1,...)"
     )
 
 
-def _parse_step(spec, c1, alpha):
+def _parse_step(spec, c1, uniform):
     if spec == "uniform":
-        return UniformStep(alpha)
+        return uniform
     if spec == "large_t":
-        try:
-            return LargeTStep(c1=c1)
-        except ValueError as e:
-            raise ConfigError(f"key c1: {e}")
+        return LargeTStep(c1=c1)
     if spec == "calibrated":
         return CalibratedStep()
     if spec.startswith("fixed:"):
-        try:
-            return FixedStep(h=float(spec[len("fixed:"):]))
-        except ValueError:
-            raise ConfigError(f"key step_mode: bad step size in {spec!r}")
-    raise ConfigError(
-        f"key step_mode: unknown mode {spec!r} "
-        "(expected uniform, large_t, calibrated or fixed:H)"
+        return FixedStep(h=_real(spec[len("fixed:"):]))
+    raise ValueError(
+        f"unknown mode {spec!r} (expected uniform, large_t, calibrated or fixed:H)"
     )
 
 
 def parse_config(text: str) -> RunConfig:
     """Parse key = value lines; unknown keys are errors (fail-closed)."""
-    raw = dict(_DEFAULTS)
-    seen = set()
+    given = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.split("#", 1)[0].strip()
         if not body:
@@ -157,16 +154,15 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"line {lineno}: expected key = value, got {body!r}")
         key, _, value = body.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
+        if key in given:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add(key)
-        raw[key] = value
-    for req in ("operator", "T", "weight", "u0", "t"):
-        if req not in raw:
-            raise ConfigError(f"missing required key {req!r}")
-    return RunConfig(raw)
+        given[key] = value
+    for key, default in _KEYS.items():
+        if default is _REQUIRED and key not in given:
+            raise ConfigError(f"missing required key {key!r}")
+    return RunConfig({**_KEYS, **given})
 
 
 # the operators built from a size, each with the one key that holds it
@@ -179,40 +175,27 @@ def _build_operator(rc: RunConfig):
     key, make = _SIZED.get(spec, (None, None))
     if key is None and not spec.startswith("diagonal:"):
         raise ConfigError(
-            f"key operator: unknown kind {rc.operator!r} "
+            f"key operator: unknown kind {spec!r} "
             "(expected sine_spectral, laplacian1d or diagonal:l1,l2,...)"
         )
     for k in ("m", "modes"):
-        if k != key and k in rc.raw:
+        if k != key and rc.raw[k] is not None:
             raise ConfigError(f"key {k}: not read by operator {kind}")
     if key is None:
-        try:
-            lams = [float(p) for p in spec[len("diagonal:"):].split(",")]
-        except ValueError:
-            raise ConfigError(f"key operator: bad eigenvalue list in {spec!r}")
-        try:
-            return DiagonalOperator(lams)
-        except ValueError as e:
-            raise ConfigError(f"key operator: {e}")
-    if key not in rc.raw:
+        lams = spec[len("diagonal:"):].split(",")
+        return _at("operator", lambda: DiagonalOperator([_real(p) for p in lams]))
+    if rc.raw[key] is None:
         raise ConfigError(f"missing required key {key!r} for operator {kind}")
-    size = rc._int(key)
-    try:  # refused before the operator allocates anything
-        check_node_buffer(rc.N, size)
-        return make(size)
-    except ValueError as e:
-        raise ConfigError(f"key {key}: {e}")
+    size = _at(key, _int, rc.raw[key])
+    _at(key, check_node_buffer, rc.N, size)  # refused before the operator allocates anything
+    return _at(key, make, size)
 
 
-def _build_u0(rc: RunConfig, op):
-    spec = rc.u0_spec
+def _build_u0(spec, op):
     if spec.startswith("sine:"):
-        try:
-            k = int(spec[len("sine:"):])
-        except ValueError:
-            raise ConfigError(f"key u0: bad mode index in {spec!r}")
+        k = _int(spec[len("sine:"):])
         if not (1 <= k <= op.dim):
-            raise ConfigError(f"key u0: mode {k} outside 1..{op.dim}")
+            raise ValueError(f"mode {k} outside 1..{op.dim}")
         if isinstance(op, Laplacian1D):
             return np.sin(k * math.pi * op.grid)
         e = np.zeros(op.dim)
@@ -224,18 +207,15 @@ def _build_u0(rc: RunConfig, op):
         if isinstance(op, Laplacian1D):
             x = op.grid
             return (1.0 - x) * x * x
-        raise ConfigError("key u0: poly_x2_1mx is not defined for diagonal operators")
+        raise ValueError("poly_x2_1mx is not defined for diagonal operators")
+    where = f" in file {spec!r}"
     try:
         with open(spec) as fh:
-            vals = [float(line) for line in fh if line.strip()]
+            vals = [_real(v, source=where) for v in map(str.strip, fh) if v]
     except OSError as e:
-        raise ConfigError(f"key u0: cannot read file {spec!r}: {e}")
-    except ValueError:
-        raise ConfigError(f"key u0: file {spec!r} must hold one real per line")
+        raise ValueError(f"cannot read file {spec!r}: {e}") from None
     if len(vals) != op.dim:
-        raise ConfigError(
-            f"key u0: file has {len(vals)} values, operator dim is {op.dim}"
-        )
+        raise ValueError(f"file has {len(vals)} values, operator dim is {op.dim}")
     return np.asarray(vals)
 
 
@@ -325,7 +305,7 @@ def run_convergence(n: int, N_list):
 
 def run_solve(rc: RunConfig):
     op = _build_operator(rc)
-    u0 = _build_u0(rc, op)
+    u0 = _at("u0", _build_u0, rc.u0_spec, op)
     try:
         problem = NonlocalProblem(op=op, T=rc.T, w=rc.weight, u0=u0)
         config = SolverConfig(n=rc.n, N=rc.N, rho1=rc.rho1, step=rc.step)
@@ -384,10 +364,7 @@ def _main(argv):
         rows = run_reproduction(args.example, args.n, args.N)
         emit_csv(rows, args.out)
     else:
-        try:
-            N_list = [int(p) for p in args.N_list.split(",") if p.strip()]
-        except ValueError:
-            raise ConfigError(f"bad N list {args.N_list!r}")
+        N_list = _at("--N-list", lambda: [_int(p) for p in args.N_list.split(",") if p.strip()])
         if not N_list:
             raise ConfigError("N list is empty")
         rows = run_convergence(args.n, N_list)

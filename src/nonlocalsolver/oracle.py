@@ -83,6 +83,8 @@ def reference_solution(op, w: WeightFunction, T: float, u0, t) -> np.ndarray:
         )
     if not (T > 0):
         raise ValueError(f"horizon must be positive, got {T}")
+    if np.iscomplexobj(u0):
+        raise ValueError("u0 must be real")
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (op.dim,):
         raise ValueError(f"u0 length {u0.shape} does not match dim {op.dim}")

@@ -26,10 +26,10 @@ every block runs over it, and its width follows from the buffer's shape
 alone; so a time's value does not depend on the other times of the call.
 When the buffer is larger than _L2_BYTES, its rows lie far apart and a
 strided tile is not kept in cache, so with more than one block each tile is
-first copied to contiguous scratch. Each full block writes its product
-straight into the output, and each finished tile is scaled by h. None of
-this changes a product's shape or operands, so no value depends on whether
-its tile was copied.
+first copied to contiguous scratch. Each block, the zero-padded last one
+too, writes its product straight into the output, and each finished tile is
+scaled by h. None of this changes a product's shape or operands, so no value
+depends on whether its tile was copied.
 The factors f_k(t) = c_k e^{-z_k t} of all times come from one vectorized
 exp, and those below _NEGLIGIBLE = 2^-800 in modulus are set to zero before
 the products: they decay double-exponentially in k, and their products with
@@ -142,6 +142,8 @@ class NonlocalProblem:
     def __post_init__(self):
         if not (0.0 < self.T < math.inf):
             raise ValueError(f"horizon T must be positive and finite, got {self.T}")
+        if np.iscomplexobj(self.u0):  # the folded sum assumes real data
+            raise ValueError("u0 must be real")
         self.u0 = np.asarray(self.u0, dtype=float)
         if self.u0.shape != (self.op.dim,):
             raise ValueError(
@@ -250,8 +252,8 @@ class _Plan:
     op.from_modal once to the summed values of all requested times. samples
     runs over the buffer one column tile at a time, 64 columns or a multiple,
     copied to contiguous scratch when the buffer exceeds _L2_BYTES and there
-    is more than one block, and over each tile in blocks of _BLOCK times: the
-    full blocks write into the output, the last one is zero-padded. t_zero is
+    is more than one block, and over each tile in blocks of _BLOCK times, the
+    last one zero-padded, each written straight into the output. t_zero is
     the time past which every factor is negligible, so samples leaves the
     rows of later times zero.
     """
@@ -332,12 +334,11 @@ class _Plan:
         # a multiple of 64 columns, set by the buffer's shape and never by the
         # number of times, so that tiling cannot change a time's value either
         width = max(64, _TILE_BYTES // (rows * self.r1.itemsize) // 64 * 64)
-        full = nt - nt % _BLOCK
         # a tile of a buffer larger than L2 has its rows far apart, so a block
         # re-reading it would miss cache; with more than one block, each tile
         # is first copied to contiguous scratch
         packed = np.empty(rows * width) if self.r1.nbytes > _L2_BYTES and nt > _BLOCK else None
-        values = np.empty((nt, dim))
+        values = np.empty((len(f), dim))  # padded like f, so every block writes in place
         for c in range(0, dim, width):
             tile = self.r1[:, c:c + width]
             if packed is not None:
@@ -345,12 +346,10 @@ class _Plan:
                 dst[...] = tile
                 tile = dst
             out = values[:, c:c + width]
-            for b in range(0, full, _BLOCK):
+            for b in range(0, len(f), _BLOCK):
                 np.matmul(e[b:b + _BLOCK], tile, out=out[b:b + _BLOCK])
-            if full < nt:
-                out[full:] = (e[full:full + _BLOCK] @ tile)[:nt - full]
-            out *= self.h
-        values = self.op.from_modal(values)
+            out[:nt] *= self.h
+        values = self.op.from_modal(values[:nt])
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
                 for t, v in zip(ts, values)]
 

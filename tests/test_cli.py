@@ -233,6 +233,9 @@ class TestMain:
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error") and key in err
+        assert err.count("key ") <= 1
+        if key == "c1":
+            assert err.startswith("config error: key c1:")
 
     @pytest.mark.parametrize("eigenvalues", ["2,inf", "inf", "2,1e400", "2,nan"])
     def test_nonfinite_eigenvalue_exit_code(self, tmp_path, capsys, eigenvalues):
@@ -241,6 +244,7 @@ class TestMain:
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "config error: key operator: all eigenvalues must be positive and finite" in err
+        assert err.count("key ") == 1
 
     @pytest.mark.parametrize("weight", ["const:nan", "const:inf", "const:-inf",
                                         "poly:nan,1", "poly:1,inf"])
@@ -248,16 +252,20 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("weight = cos", f"weight = {weight}"))
         assert main(["solve", "--config", str(cfg)]) == 2
-        assert "config error: key weight" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: key weight" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 8", "laplacian1d\nm = 8"],
                              ids=["sine_spectral", "laplacian1d"])
     def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):
+        # outside [0, 1] the grid's boundary zeros or the sine series'
+        # periodic extension would be printed as u(t, x)
         cfg = tmp_path / "bad.cfg"
-        for x in ("nan", "inf"):
+        for x in ("nan", "inf", "1.75", "-0.25"):
             cfg.write_text(BASE.replace("diagonal:1", operator) + f"x = {x}\n")
             assert main(["solve", "--config", str(cfg)]) == 2
-            assert "config error: key x" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "config error: key x" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, extra, key", [
         ("sine_spectral", "modes = abc\n", "modes"),
@@ -268,7 +276,8 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", operator) + extra)
         assert main(["solve", "--config", str(cfg)]) == 2
-        assert f"config error: key {key}: expected" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: key {key}: expected" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, size, key", [
         ("sine_spectral", "m = 8", "m"),
@@ -281,7 +290,8 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", operator) + size + "\n")
         assert main(["solve", "--config", str(cfg)]) == 2
-        assert f"config error: key {key}: not read by operator" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: key {key}: not read by operator" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, size, message", [
         ("laplacian1d", "m = 1\n", "config error: key m: need"),
@@ -293,7 +303,8 @@ class TestMain:
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", operator) + size)
         assert main(["solve", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(message)
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("key ") <= 1
 
     def test_bad_order_exit_code(self, capsys):
         for argv in (["reproduce", "--example", "1", "--n", "-1", "--N", "16"],

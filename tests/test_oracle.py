@@ -131,3 +131,8 @@ class TestReferenceSolution:
         with pytest.raises(ValueError):
             reference_solution(DiagonalOperator([1.0]), WeightFunction.zero(),
                                1.0, [1.0, 2.0], 0.5)
+
+    def test_rejects_complex_u0(self):
+        with pytest.raises(ValueError, match="real"):
+            reference_solution(DiagonalOperator([2.0]), WeightFunction.zero(),
+                               1.0, [1 + 2j], 0.5)

@@ -1,6 +1,10 @@
 import importlib.util
+import json
 import pathlib
 import re
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +45,24 @@ def test_benchmark_traced_names_resolve():
     absent = [f"{owner.__name__}.{attr}" for owner, attr, *_ in tracer.TRACED
               if attr not in owner.__dict__]
     assert absent == []
+
+
+def test_traced_benchmark_smoke(tmp_path):
+    # one traced pass of every workload: each request's output is checked,
+    # and a request fails if its traced resolvent count is not N+1 or 2N+1;
+    # run on a copy, so that spans and work directories stay out of the tree
+    if not (ROOT / "perfbench").exists():
+        pytest.skip("perfbench/ is absent")
+    for name in ("perfbench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--smoke",
+         "--trace", "1", "--seed", "1", "--seconds", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0
+    for name, workload in result["workloads"].items():
+        assert workload["metrics"]["trace.absent_names"]["value"] == 0, name

@@ -77,6 +77,12 @@ class TestProblemValidation:
             with pytest.raises(ValueError):
                 _scalar_problem(u0=u0)
 
+    def test_rejects_complex_u0(self):
+        # the folded sum assumes real data; numpy's cast would only warn and
+        # drop the imaginary part
+        with pytest.raises(ValueError, match="real"):
+            _scalar_problem(u0=1 + 2j)
+
     def test_config_rejects_negative(self):
         for n, N in ((-1, 64), (16, -1)):
             with pytest.raises(ValueError):
