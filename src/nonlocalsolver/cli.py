@@ -84,11 +84,11 @@ def _real(text, positive=False, within=None, source=""):
     return v
 
 
-def _times(text):
-    ts = [_real(p, within=(0, math.inf)) for p in text.split(",") if p.strip()]
-    if not ts:
-        raise ValueError("at least one time is required")
-    return ts
+def _list(text, parse, what):
+    vals = [parse(p) for p in text.split(",") if p.strip()]
+    if not vals:
+        raise ValueError(f"at least one {what} is required")
+    return vals
 
 
 class RunConfig:
@@ -98,11 +98,13 @@ class RunConfig:
         self.raw = raw
         self.operator = raw["operator"]
         self.n = _at("n", _int, raw["n"], low=0)
+        _at("n", SolverConfig, n=self.n)  # the solver's bound on the Gauss order
         self.N = _at("N", _int, raw["N"], low=0)
         self.T = _at("T", _real, raw["T"], positive=True)
         self.alpha = _at("alpha", _real, raw["alpha"])
         uniform = _at("alpha", UniformStep, self.alpha)  # refused in every step mode
         self.rho1 = _at("rho1", _real, raw["rho1"])
+        _at("rho1", SolverConfig, rho1=self.rho1)
         self.x = _at("x", _real, raw["x"], within=(0, 1))  # the problem lives on [0, 1]
         self.u0_spec = raw["u0"]
         self.out = raw["out"]
@@ -112,7 +114,7 @@ class RunConfig:
         # the large-t rule can refuse nothing but its c1
         self.step = _at("c1" if mode == "large_t" else "step_mode",
                         _parse_step, mode, c1, uniform)
-        self.ts = _at("t", _times, raw["t"])
+        self.ts = _at("t", _list, raw["t"], lambda p: _real(p, within=(0, math.inf)), "time")
 
 
 def _parse_weight(spec):
@@ -305,12 +307,10 @@ def run_convergence(n: int, N_list):
 
 def run_solve(rc: RunConfig):
     op = _build_operator(rc)
-    u0 = _at("u0", _build_u0, rc.u0_spec, op)
-    try:
-        problem = NonlocalProblem(op=op, T=rc.T, w=rc.weight, u0=u0)
-        config = SolverConfig(n=rc.n, N=rc.N, rho1=rc.rho1, step=rc.step)
-    except ValueError as e:
-        raise ConfigError(str(e))
+    # T is checked already, so the problem can refuse only its u0
+    problem = _at("u0", lambda: NonlocalProblem(op=op, T=rc.T, w=rc.weight,
+                                                u0=_build_u0(rc.u0_spec, op)))
+    config = SolverConfig(n=rc.n, N=rc.N, rho1=rc.rho1, step=rc.step)
     samples = solve_many(problem, config, rc.ts)
     rows = []
     for sample in samples:
@@ -353,9 +353,9 @@ def _main(argv):
 
     if args.command == "solve":
         try:
-            with open(args.config) as fh:
+            with open(args.config, encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as e:
+        except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config!r}: {e}")
         rc = parse_config(text)
         rows = run_solve(rc)
@@ -364,9 +364,7 @@ def _main(argv):
         rows = run_reproduction(args.example, args.n, args.N)
         emit_csv(rows, args.out)
     else:
-        N_list = _at("--N-list", lambda: [_int(p) for p in args.N_list.split(",") if p.strip()])
-        if not N_list:
-            raise ConfigError("N list is empty")
+        N_list = _at("--N-list", _list, args.N_list, _int, "N")
         rows = run_convergence(args.n, N_list)
         emit_csv(rows, args.out)
     return 0

@@ -145,9 +145,9 @@ class Laplacian1D(DiagonalOperator):
         return out / self.dx**2
 
     def to_modal(self, v):
-        """S v along the last axis, by rfft of the odd extension. A complex v is
-        transformed as Re v and Im v apart, so that S conj(v) is conj(S v) bit
-        for bit, as the folded Sinc sum assumes."""
+        """S v along the last axis, by rfft of the odd extension. The plan
+        transforms only real data; a complex v, which resolvent_apply passes,
+        is transformed as Re v and Im v apart."""
         v = np.asarray(v)
         if np.iscomplexobj(v):
             return self.to_modal(v.real) + 1j * self.to_modal(v.imag)

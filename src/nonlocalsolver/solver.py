@@ -20,16 +20,11 @@ operator's modal coordinates (SectorialOperator.to_modal; the identity for an
 operator without a basis of its own): u0 is transformed once, each node
 applies the modified resolvent to those coefficients, and each requested time
 costs one from_modal back to the state. u(t) is the real part of the sum,
-formed by one matrix product per fixed block of _BLOCK times and column tile
-of the buffer. A tile holds about _TILE_BYTES, so it stays in cache while
-every block runs over it, and its width follows from the buffer's shape
-alone; so a time's value does not depend on the other times of the call.
-When the buffer is larger than _L2_BYTES, its rows lie far apart and a
-strided tile is not kept in cache, so with more than one block each tile is
-first copied to contiguous scratch. Each block, the zero-padded last one
-too, writes its product straight into the output, and each finished tile is
-scaled by h. None of this changes a product's shape or operands, so no value
-depends on whether its tile was copied.
+h times one stacked matrix product per column tile of the buffer, in fixed
+blocks of _BLOCK times. The tile width follows from the buffer's shape alone,
+each block has _BLOCK rows, the last one zero-padded, and copying a tile to
+contiguous memory changes no operand; so a time's value does not depend on
+the other times of the call.
 The factors f_k(t) = c_k e^{-z_k t} of all times come from one vectorized
 exp, and those below _NEGLIGIBLE = 2^-800 in modulus are set to zero before
 the products: they decay double-exponentially in k, and their products with
@@ -58,7 +53,7 @@ MAX_GAUSS_ORDER = 128
 # does not depend on the number of times requested
 _BLOCK = 8
 # the L2 cache that _Plan.samples is sized for: a node buffer larger than
-# this has its column tiles copied to contiguous scratch before reuse
+# this has its column tiles copied to contiguous memory before reuse
 _L2_BYTES = 2 * 1024 * 1024
 # bytes of the node buffer that one column tile of _Plan.samples holds: small
 # enough to stay in L2 while every block of times runs over it
@@ -249,11 +244,7 @@ class _Plan:
     the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
     resolvent applied to u0, in one (2(N+1), dim) real buffer. The rows are
     modal coefficients: u0 goes through op.to_modal once, and samples applies
-    op.from_modal once to the summed values of all requested times. samples
-    runs over the buffer one column tile at a time, 64 columns or a multiple,
-    copied to contiguous scratch when the buffer exceeds _L2_BYTES and there
-    is more than one block, and over each tile in blocks of _BLOCK times, the
-    last one zero-padded, each written straight into the output. t_zero is
+    op.from_modal once to the summed values of all requested times. t_zero is
     the time past which every factor is negligible, so samples leaves the
     rows of later times zero.
     """
@@ -328,30 +319,24 @@ class _Plan:
         live[kept] = np.exp(np.multiply.outer(-t[kept], self.z)) * self.coef
         live[abs(live) < _NEGLIGIBLE] = 0.0
         # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
-        # [Re R1_k, Im R1_k], so each product row is Re(f R1)
-        e = f.conj().view(float)
+        # [Re R1_k, Im R1_k], so each product row is Re(f R1); matmul runs
+        # the stack one 8-row block at a time
+        e = f.conj().view(float).reshape(-1, _BLOCK, 2 * len(self.z))
         rows, dim = self.r1.shape
         # a multiple of 64 columns, set by the buffer's shape and never by the
         # number of times, so that tiling cannot change a time's value either
         width = max(64, _TILE_BYTES // (rows * self.r1.itemsize) // 64 * 64)
-        # a tile of a buffer larger than L2 has its rows far apart, so a block
-        # re-reading it would miss cache; with more than one block, each tile
-        # is first copied to contiguous scratch
-        packed = np.empty(rows * width) if self.r1.nbytes > _L2_BYTES and nt > _BLOCK else None
-        values = np.empty((len(f), dim))  # padded like f, so every block writes in place
+        # a tile of a buffer larger than L2 has its rows far apart, so when
+        # more than one block re-reads it, it is copied to contiguous memory
+        copy = self.r1.nbytes > _L2_BYTES and nt > _BLOCK
+        values = np.empty((len(e), _BLOCK, dim))
         for c in range(0, dim, width):
             tile = self.r1[:, c:c + width]
-            if packed is not None:
-                dst = packed[:tile.size].reshape(tile.shape)
-                dst[...] = tile
-                tile = dst
-            out = values[:, c:c + width]
-            for b in range(0, len(f), _BLOCK):
-                np.matmul(e[b:b + _BLOCK], tile, out=out[b:b + _BLOCK])
-            out[:nt] *= self.h
-        values = self.op.from_modal(values[:nt])
+            np.matmul(e, tile.copy() if copy else tile, out=values[:, :, c:c + width])
+        values = values.reshape(-1, dim)[:nt]
+        values *= self.h
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
-                for t, v in zip(ts, values)]
+                for t, v in zip(ts, self.op.from_modal(values))]
 
 
 def solve_at(problem: NonlocalProblem, config: SolverConfig, t: float) -> SolutionSample:

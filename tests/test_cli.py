@@ -5,7 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from nonlocalsolver import ConfigError, cli
+from nonlocalsolver import (
+    ConfigError,
+    Laplacian1D,
+    SineSpectralOperator,
+    WeightFunction,
+    cli,
+    poly_x2_1mx_coefficients,
+    reference_solution,
+)
 from nonlocalsolver.cli import (
     emit_csv,
     main,
@@ -177,6 +185,27 @@ class TestMain:
         op_lam1 = 4 * 41**2 * math.sin(math.pi / (2 * 41)) ** 2
         assert value == pytest.approx(math.exp(-op_lam1 * 0.05), rel=5e-3)
 
+    @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 50", "laplacian1d\nm = 49"],
+                             ids=["sine_spectral", "laplacian1d"])
+    def test_solve_poly_profile_matches_oracle(self, tmp_path, capsys, operator):
+        # example-2 data; x = 0.4 is the 20th point of the m = 49 grid, where
+        # the CSV value is the grid value itself
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(f"operator = {operator}\nT = 1.5707963267948966\nweight = cos_square\n"
+                       "u0 = poly_x2_1mx\nt = 1\nx = 0.4\nstep_mode = calibrated\n")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+        w = WeightFunction.cos_square()
+        if operator.startswith("sine"):
+            op = SineSpectralOperator(50)
+            ref = op.evaluate(reference_solution(op, w, math.pi / 2,
+                                                 poly_x2_1mx_coefficients(50), 1.0), 0.4)
+        else:
+            op = Laplacian1D(49)
+            u0 = (1.0 - op.grid) * op.grid ** 2
+            ref = reference_solution(op, w, math.pi / 2, u0, 1.0)[19]
+        assert value == pytest.approx(ref, rel=1e-10)
+
     def test_solve_u0_from_file(self, tmp_path, capsys):
         data = tmp_path / "u0.txt"
         data.write_text("1.0\n0.5\n")
@@ -222,20 +251,42 @@ class TestMain:
             assert main(["solve", "--config", str(cfg)]) == 2
             assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("extra, key", [
-        ("rho1 = 50\n", "rho1"), ("rho1 = nan\n", "rho1"), ("rho1 = -1\n", "rho1"),
-        ("step_mode = large_t\nN = 1\n", "N >= 2"),
-        ("step_mode = large_t\nc1 = nan\n", "c1"),
-    ], ids=["rho1-above-rho0", "rho1-nan", "rho1-negative", "large_t-N1", "large_t-c1-nan"])
-    def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, key):
+    @pytest.mark.parametrize("extra, message", [
+        # a combination that only the plan can refuse keeps the solver's words
+        ("rho1 = 50\n", "config error: rho1 must lie in [0, rho0)"),
+        ("rho1 = nan\n", "config error: key rho1:"), ("rho1 = -1\n", "config error: key rho1:"),
+        ("rho1 = inf\n", "config error: key rho1:"),
+        ("step_mode = large_t\nN = 1\n", "config error: large-t step needs N >= 2"),
+        ("step_mode = large_t\nc1 = nan\n", "config error: key c1:"),
+        ("step_mode = bogus\n", "config error: key step_mode: unknown mode"),
+        ("n = 200\n", "config error: key n:"),
+    ], ids=["rho1-above-rho0", "rho1-nan", "rho1-negative", "rho1-inf", "large_t-N1",
+            "large_t-c1-nan", "step_mode-unknown", "n-above-max"])
+    def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9") + extra)
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error") and key in err
-        assert err.count("key ") <= 1
-        if key == "c1":
-            assert err.startswith("config error: key c1:")
+        assert err.startswith(message) and err.count("key ") <= 1
+
+    @pytest.mark.parametrize("operator, u0, message", [
+        ("bogus", "sine:1", "config error: key operator: unknown kind 'bogus'"),
+        ("diagonal:5,9", "poly_x2_1mx", "config error: key u0: poly_x2_1mx is not defined"),
+        ("diagonal:5,9", "sine:3", "config error: key u0: mode 3 outside 1..2"),
+        ("diagonal:5,9", "{}/missing.txt", "config error: key u0: cannot read file"),
+        ("diagonal:5,9", "{}/short.txt", "config error: key u0: file has 1 values"),
+        ("diagonal:5,9", "{}/nan.txt", "config error: key u0: u0 must be finite"),
+    ], ids=["unknown-kind", "poly-diagonal", "sine-out-of-range", "file-missing",
+            "file-short", "file-nan"])
+    def test_operator_and_u0_refusal_exit_code(self, tmp_path, capsys, operator, u0, message):
+        (tmp_path / "short.txt").write_text("1\n")
+        (tmp_path / "nan.txt").write_text("1\nnan\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", operator)
+                       .replace("sine:1", u0.format(tmp_path)))
+        assert main(["solve", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("key ") == 1
 
     @pytest.mark.parametrize("eigenvalues", ["2,inf", "inf", "2,1e400", "2,nan"])
     def test_nonfinite_eigenvalue_exit_code(self, tmp_path, capsys, eigenvalues):
@@ -314,11 +365,22 @@ class TestMain:
                      ["converge", "--n", "1000000000", "--N-list", "16"]):
             assert main(argv) == 2
             assert "config error" in capsys.readouterr().err
+        assert main(["converge", "--n", "8", "--N-list", ","]) == 2
+        assert capsys.readouterr().err.startswith("config error: key --N-list:")
         # the self-reference of example 2 stays within the bound on n
         assert main(["reproduce", "--example", "2", "--n", "100", "--N", "16"]) == 0
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+    def test_unreadable_config_and_unwritable_out_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"\xff\xfe\x00")  # not UTF-8
+        assert main(["solve", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot read config {str(cfg)!r}:")
+        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9"))
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: cannot write {str(tmp_path)!r}:")
 
     def test_existence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"

