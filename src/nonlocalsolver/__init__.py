@@ -26,11 +26,11 @@ from .solver import (
     CalibratedStep,
     ConditionReport,
     FixedStep,
-    LargeTStep,
     NonlocalProblem,
     SolutionSample,
     SolverConfig,
     UniformStep,
+    WindowStep,
     check_existence,
     solve_at,
     solve_many,
@@ -40,9 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibratedStep", "ConditionReport", "ConfigError", "DiagonalOperator",
-    "ExistenceError", "FixedStep", "Laplacian1D", "LargeTStep",
-    "NonlocalProblem", "NumericalError", "SectorialOperator",
-    "SineSpectralOperator", "SolutionSample", "SolverConfig", "SpectralBounds",
-    "UniformStep", "WeightFunction", "check_existence", "reference_solution",
+    "ExistenceError", "FixedStep", "Laplacian1D", "NonlocalProblem",
+    "NumericalError", "SectorialOperator", "SineSpectralOperator",
+    "SolutionSample", "SolverConfig", "SpectralBounds", "UniformStep",
+    "WeightFunction", "WindowStep", "check_existence", "reference_solution",
     "solve_at", "solve_many",
 ]

@@ -25,10 +25,10 @@ from .solver import (
     MAX_GAUSS_ORDER,
     CalibratedStep,
     FixedStep,
-    LargeTStep,
     NonlocalProblem,
     SolverConfig,
     UniformStep,
+    WindowStep,
     check_node_buffer,
     solve_at,
     solve_many,
@@ -50,7 +50,7 @@ _REQUIRED = object()
 _KEYS = {
     "operator": _REQUIRED, "T": _REQUIRED, "weight": _REQUIRED, "u0": _REQUIRED,
     "t": _REQUIRED, "m": None, "modes": None, "out": None, "n": "16", "N": "64",
-    "alpha": "0.5", "rho1": "0", "x": "0.5", "step_mode": "uniform", "c1": "1",
+    "alpha": "0.5", "rho1": "0", "x": "0.5", "step_mode": "uniform",
 }
 
 
@@ -62,13 +62,15 @@ def _at(key, parse, *args, **kwargs):
         raise ConfigError(f"key {key}: {e}") from None
 
 
-def _int(text, low=None):
+def _int(text, low=None, high=None):
     try:
         v = int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}") from None
     if low is not None and v < low:
         raise ValueError(f"must be >= {low}, got {v}")
+    if high is not None and v > high:
+        raise ValueError(f"must be <= {high}, got {v}")
     return v
 
 
@@ -97,8 +99,7 @@ class RunConfig:
     def __init__(self, raw):
         self.raw = raw
         self.operator = raw["operator"]
-        self.n = _at("n", _int, raw["n"], low=0)
-        _at("n", SolverConfig, n=self.n)  # the solver's bound on the Gauss order
+        self.n = _at("n", _int, raw["n"], low=0, high=MAX_GAUSS_ORDER)
         self.N = _at("N", _int, raw["N"], low=0)
         self.T = _at("T", _real, raw["T"], positive=True)
         self.alpha = _at("alpha", _real, raw["alpha"])
@@ -109,12 +110,8 @@ class RunConfig:
         self.u0_spec = raw["u0"]
         self.out = raw["out"]
         self.weight = _at("weight", _parse_weight, raw["weight"])
-        c1 = _at("c1", _real, raw["c1"])
-        mode = raw["step_mode"]
-        # the large-t rule can refuse nothing but its c1
-        self.step = _at("c1" if mode == "large_t" else "step_mode",
-                        _parse_step, mode, c1, uniform)
         self.ts = _at("t", _list, raw["t"], lambda p: _real(p, within=(0, math.inf)), "time")
+        self.step = _at("step_mode", _parse_step, raw["step_mode"], uniform, self.ts)
 
 
 def _parse_weight(spec):
@@ -131,17 +128,20 @@ def _parse_weight(spec):
     )
 
 
-def _parse_step(spec, c1, uniform):
+def _parse_step(spec, uniform, ts):
     if spec == "uniform":
         return uniform
-    if spec == "large_t":
-        return LargeTStep(c1=c1)
+    if spec == "window":  # fitted to the earliest time; t = 0 lies outside every window
+        t_min = min((t for t in ts if 0 < t < math.inf), default=None)
+        if t_min is None:
+            raise ValueError("window needs a time in (0, inf) in t")
+        return WindowStep(t_min)
     if spec == "calibrated":
         return CalibratedStep()
     if spec.startswith("fixed:"):
         return FixedStep(h=_real(spec[len("fixed:"):]))
     raise ValueError(
-        f"unknown mode {spec!r} (expected uniform, large_t, calibrated or fixed:H)"
+        f"unknown mode {spec!r} (expected uniform, window, calibrated or fixed:H)"
     )
 
 
@@ -243,9 +243,7 @@ def _fmt(v):
 
 def emit_csv(rows, path=None):
     """Write rows under the fixed header; path None means stdout."""
-    lines = ["n,N,t,x,value,abs_error"]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines = ["n,N,t,x,value,abs_error"] + [",".join(map(_fmt, row)) for row in rows]
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -257,32 +255,21 @@ def emit_csv(rows, path=None):
         raise ConfigError(f"cannot write {path!r}: {e}")
 
 
-def _benchmark_config(n, N):
-    try:
-        return SolverConfig(n=n, N=N, step=CalibratedStep())
-    except ValueError as e:
-        raise ConfigError(str(e))
+def _benchmark_value(w, u0, n, N, t, x):
+    """u(t, x) of a benchmark: A = -d2/dx2 in len(u0) sine modes, T = pi/2."""
+    op = SineSpectralOperator(len(u0))
+    problem = NonlocalProblem(op=op, T=math.pi / 2, w=w, u0=u0)
+    sample = solve_at(problem, SolverConfig(n=n, N=N, step=CalibratedStep()), t)
+    return op.evaluate(sample.value, x)
 
 
 def _benchmark1_value(n, N, t=1.0, x=0.5):
-    op = SineSpectralOperator(1)
-    problem = NonlocalProblem(
-        op=op, T=math.pi / 2, w=WeightFunction.cos(), u0=np.array([BENCH1_C0])
-    )
-    sample = solve_at(problem, _benchmark_config(n, N), t)
-    return op.evaluate(sample.value, x)
+    return _benchmark_value(WeightFunction.cos(), np.array([BENCH1_C0]), n, N, t, x)
 
 
 def _benchmark2_value(n, N, t=1.0, x=0.4, modes=200):
-    op = SineSpectralOperator(modes)
-    problem = NonlocalProblem(
-        op=op,
-        T=math.pi / 2,
-        w=WeightFunction.cos_square(),
-        u0=poly_x2_1mx_coefficients(modes),
-    )
-    sample = solve_at(problem, _benchmark_config(n, N), t)
-    return op.evaluate(sample.value, x)
+    u0 = poly_x2_1mx_coefficients(modes)
+    return _benchmark_value(WeightFunction.cos_square(), u0, n, N, t, x)
 
 
 def run_reproduction(example: int, n: int, N: int):
@@ -361,11 +348,13 @@ def _main(argv):
         rows = run_solve(rc)
         emit_csv(rows, args.out if args.out is not None else rc.out)
     elif args.command == "reproduce":
-        rows = run_reproduction(args.example, args.n, args.N)
+        n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
+        rows = run_reproduction(args.example, n, _at("--N", _int, args.N, low=0))
         emit_csv(rows, args.out)
     else:
-        N_list = _at("--N-list", _list, args.N_list, _int, "N")
-        rows = run_convergence(args.n, N_list)
+        n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
+        N_list = _at("--N-list", _list, args.N_list, lambda p: _int(p, low=0), "N")
+        rows = run_convergence(n, N_list)
         emit_csv(rows, args.out)
     return 0
 

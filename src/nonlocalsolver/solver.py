@@ -78,24 +78,35 @@ class UniformStep:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
 
-    def step_size(self, problem, contour, N):
+    def step_size(self, contour, N):
         return math.sqrt(math.pi * contour.d1 / (self.alpha * (N + 1)))
 
 
 @dataclass(frozen=True)
-class LargeTStep:
-    """Step rule tuned for large evaluation times, h = c1 ln(N) / N."""
+class WindowStep:
+    """Step rule for the times t >= t_min: h solves pi d1 / h = a_I t_min cosh(N h),
+    so that the strip error exp(-pi d1 / h) equals the truncation error
+    exp(-a_I t_min cosh(N h)) at the earliest time. Later times truncate faster."""
 
-    c1: float = 1.0
+    t_min: float
 
     def __post_init__(self):
-        if not (self.c1 > 0):
-            raise ValueError(f"c1 must be positive, got {self.c1}")
+        if not (0.0 < self.t_min < math.inf):
+            raise ValueError(f"t_min must be positive and finite, got {self.t_min}")
 
-    def step_size(self, problem, contour, N):
-        if N < 2:
-            raise ValueError(f"large-t step needs N >= 2, got {N}")
-        return self.c1 * math.log(N) / N
+    def step_size(self, contour, N):
+        # bisection on x = log h: log(pi d1 / h) - log(a_I t_min cosh(N h)) falls
+        # through 0 once in (-inf, top], and is positive at lo, where N h < 1/e.
+        # log cosh y = y + log1p(e^-2y) - log 2 cannot overflow, and y = inf
+        # keeps the sign; the cap e^700 can bind only at N = 0
+        top = math.log(math.pi * contour.d1) - math.log(contour.a_I) - math.log(self.t_min)
+        lo, hi = min(top, -math.log(N + 1)) - 1.0, min(top, 700.0)
+        for _ in range(100):  # the bracket is narrower than 2^11
+            x = (lo + hi) / 2
+            y = math.exp(x) * float(N)
+            above = top - x > y + math.log1p(math.exp(-2 * y)) - math.log(2)
+            lo, hi = (x, hi) if above else (lo, x)
+        return math.exp((lo + hi) / 2)
 
 
 @dataclass(frozen=True)
@@ -107,7 +118,7 @@ class CalibratedStep:
     the benchmarks actually exhibit at moderate N.
     """
 
-    def step_size(self, problem, contour, N):
+    def step_size(self, contour, N):
         return 1.71 * (N + 1) ** (-0.67)
 
 
@@ -121,7 +132,7 @@ class FixedStep:
         if not (self.h > 0):
             raise ValueError(f"step size must be positive, got {self.h}")
 
-    def step_size(self, problem, contour, N):
+    def step_size(self, contour, N):
         return self.h
 
 
@@ -187,6 +198,9 @@ class ConditionReport:
 
 @dataclass(frozen=True)
 class SolutionSample:
+    """The state at time t. value is a row view of the array of all the call's
+    states, so a value kept on its own keeps that array alive: copy it."""
+
     t: float
     value: np.ndarray
     report: ConditionReport
@@ -267,10 +281,7 @@ class _Plan:
                 stacklevel=3,
             )
         rule = gauss_legendre(config.n)
-        try:  # a step rule may refuse N, as the large-t rule refuses N < 2
-            self.h = config.step.step_size(problem, contour, config.N)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        self.h = config.step.step_size(contour, config.N)
         self.grid = (self.h, config.N, config.n)
         N = config.N
         with np.errstate(all="ignore"):  # refused before any per-node array exists

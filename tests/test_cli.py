@@ -21,7 +21,8 @@ from nonlocalsolver.cli import (
     run_convergence,
     run_reproduction,
 )
-from nonlocalsolver.solver import CalibratedStep, FixedStep, LargeTStep, UniformStep
+from nonlocalsolver import solver
+from nonlocalsolver.solver import CalibratedStep, FixedStep, UniformStep, WindowStep
 
 pytestmark = pytest.mark.filterwarnings("ignore:sup")
 
@@ -64,9 +65,9 @@ class TestParseConfig:
     def test_step_modes(self):
         assert isinstance(parse_config(BASE + "step_mode = calibrated\n").step, CalibratedStep)
         assert isinstance(parse_config(BASE + "step_mode = fixed:0.3\n").step, FixedStep)
-        rc = parse_config(BASE + "step_mode = large_t\nc1 = 2.0\n")
-        assert isinstance(rc.step, LargeTStep)
-        assert rc.step.c1 == 2.0
+        # the window starts at the earliest time in (0, inf) of key t
+        rc = parse_config(BASE.replace("t = 0.5", "t = 0, 2, 0.25, inf") + "step_mode = window\n")
+        assert rc.step == WindowStep(0.25)
 
     def test_time_list(self):
         rc = parse_config(BASE.replace("t = 0.5", "t = 0.1, 0.5,1"))
@@ -256,15 +257,20 @@ class TestMain:
         ("rho1 = 50\n", "config error: rho1 must lie in [0, rho0)"),
         ("rho1 = nan\n", "config error: key rho1:"), ("rho1 = -1\n", "config error: key rho1:"),
         ("rho1 = inf\n", "config error: key rho1:"),
-        ("step_mode = large_t\nN = 1\n", "config error: large-t step needs N >= 2"),
-        ("step_mode = large_t\nc1 = nan\n", "config error: key c1:"),
+        # the large-t rule and its c1 key were removed: both are refused
+        ("step_mode = large_t\nN = 1\n", "config error: key step_mode: unknown mode 'large_t'"),
+        ("step_mode = large_t\nc1 = nan\n", "config error: line 7: unknown key 'c1'"),
+        ("c1 = 1\n", "config error: line 6: unknown key 'c1'"),
         ("step_mode = bogus\n", "config error: key step_mode: unknown mode"),
+        ("step_mode = window\n", "config error: key step_mode: window needs a time"),
         ("n = 200\n", "config error: key n:"),
     ], ids=["rho1-above-rho0", "rho1-nan", "rho1-negative", "rho1-inf", "large_t-N1",
-            "large_t-c1-nan", "step_mode-unknown", "n-above-max"])
+            "large_t-c1-nan", "c1-unknown", "step_mode-unknown", "window-t0", "n-above-max"])
     def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9") + extra)
+        # the window rule has no time to fit when t = 0 is the only one
+        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9").replace("t = 0.5", "t = 0")
+                       + extra)
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("key ") <= 1
@@ -321,8 +327,8 @@ class TestMain:
     @pytest.mark.parametrize("operator, extra, key", [
         ("sine_spectral", "modes = abc\n", "modes"),
         ("laplacian1d", "m = abc\n", "m"),
-        ("diagonal:1", "c1 = abc\n", "c1"),
-    ], ids=["modes", "m", "c1"])
+        ("diagonal:1", "alpha = abc\n", "alpha"),
+    ], ids=["modes", "m", "alpha"])
     def test_malformed_number_exit_code(self, tmp_path, capsys, operator, extra, key):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", operator) + extra)
@@ -357,16 +363,21 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("key ") <= 1
 
-    def test_bad_order_exit_code(self, capsys):
-        for argv in (["reproduce", "--example", "1", "--n", "-1", "--N", "16"],
-                     ["reproduce", "--example", "1", "--n", "129", "--N", "16"],
-                     ["reproduce", "--example", "2", "--n", "8", "--N", "-16"],
-                     ["converge", "--n", "8", "--N-list", "16,-4"],
-                     ["converge", "--n", "1000000000", "--N-list", "16"]):
+    def test_bad_order_exit_code(self, capsys, monkeypatch):
+        # each flag is refused under its name before any plan is built
+        plans = []
+        monkeypatch.setattr(solver, "_Plan", lambda *a: plans.append(a))
+        for argv, flag in ((["reproduce", "--example", "1", "--n", "-1", "--N", "16"], "--n"),
+                           (["reproduce", "--example", "1", "--n", "129", "--N", "16"], "--n"),
+                           (["reproduce", "--example", "2", "--n", "8", "--N", "-16"], "--N"),
+                           (["converge", "--n", "8", "--N-list", "16,32,-4"], "--N-list"),
+                           (["converge", "--n", "1000000000", "--N-list", "16"], "--n"),
+                           (["converge", "--n", "8", "--N-list", ","], "--N-list")):
             assert main(argv) == 2
-            assert "config error" in capsys.readouterr().err
-        assert main(["converge", "--n", "8", "--N-list", ","]) == 2
-        assert capsys.readouterr().err.startswith("config error: key --N-list:")
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key {flag}: ") and err.count("key ") == 1
+        assert plans == []
+        monkeypatch.undo()
         # the self-reference of example 2 stays within the bound on n
         assert main(["reproduce", "--example", "2", "--n", "100", "--N", "16"]) == 0
 

@@ -20,7 +20,7 @@ from nonlocalsolver import (
 def _plan_nodes(op, N=64):
     """The folded Sinc nodes z_0..z_N of a default-step plan on op."""
     c = make_contour(op.spectral)
-    return contour_point(c, np.arange(N + 1) * UniformStep().step_size(None, c, N)).z
+    return contour_point(c, np.arange(N + 1) * UniformStep().step_size(c, N)).z
 
 
 class TestDiagonalOperator:

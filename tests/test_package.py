@@ -6,9 +6,11 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import nonlocalsolver
+from nonlocalsolver import cli
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -31,6 +33,22 @@ def test_public_names_are_documented():
     undocumented = [name for name in nonlocalsolver.__all__
                     if not any(re.search(rf"\b{name}\b", s) for s in spans)]
     assert undocumented == []
+
+
+@pytest.mark.filterwarnings("ignore:sup")
+def test_readme_config_example_runs():
+    # the README's config block, without its out line, parses and solves,
+    # and so does every step_mode its comment lists
+    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
+    text = "\n".join(line for line in block.splitlines() if not line.startswith("out "))
+    rc = cli.parse_config(text)
+    assert len(cli.run_solve(rc)) == len(rc.ts) == 3
+    modes = re.search(r"^step_mode = \S+ +# (.*)$", text, re.M).group(1).split(" | ")
+    assert "window" in modes
+    for mode in modes:
+        rc = cli.parse_config(re.sub(r"^step_mode = .*$", f"step_mode = {mode}",
+                                     text, flags=re.M).replace("fixed:H", "fixed:0.25"))
+        assert all(np.isfinite(row[4]) for row in cli.run_solve(rc))
 
 
 def test_benchmark_traced_names_resolve():

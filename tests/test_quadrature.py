@@ -5,10 +5,10 @@ import pytest
 
 from nonlocalsolver import (
     CalibratedStep,
-    LargeTStep,
     SpectralBounds,
     UniformStep,
     WeightFunction,
+    WindowStep,
     contour_point,
     gauss_legendre,
     make_contour,
@@ -164,7 +164,7 @@ class TestNonlocalIntegral:
         # up to rounding, alone or among the other nodes
         contour = make_contour(SpectralBounds(rho0=math.pi**2))
         for n, N in [(4, 32), (8, 16), (16, 64)]:
-            h = CalibratedStep().step_size(None, contour, N)
+            h = CalibratedStep().step_size(contour, N)
             zs = contour_point(contour, np.arange(N + 1) * h).z
             rule, w = gauss_legendre(n), WeightFunction.cos()
             vec = nonlocal_integral(rule, w, math.pi / 2, zs)
@@ -195,25 +195,25 @@ def _contour(phi=0.0):
 
 
 class TestStepRules:
-    # a rule reads only the contour's strip width and N, never the problem
+    # a rule reads only the contour and N
     def test_uniform_value(self):
-        h = UniformStep().step_size(None, _contour(), 31)
+        h = UniformStep().step_size(_contour(), 31)
         assert h == pytest.approx(math.pi / (4 * math.sqrt(2)), rel=1e-15)
 
     def test_uniform_strip_scaling(self):
-        h_wide = UniformStep().step_size(None, _contour(), 31)
-        h_narrow = UniformStep().step_size(None, _contour(math.pi / 4), 31)
+        h_wide = UniformStep().step_size(_contour(), 31)
+        h_narrow = UniformStep().step_size(_contour(math.pi / 4), 31)
         assert h_wide == pytest.approx(math.sqrt(2) * h_narrow, rel=1e-14)
 
     def test_uniform_inverse_sqrt_law(self):
         c = _contour(0.5)
-        assert UniformStep().step_size(None, c, 31) == pytest.approx(
-            2 * UniformStep().step_size(None, c, 127), rel=1e-14)
+        assert UniformStep().step_size(c, 31) == pytest.approx(
+            2 * UniformStep().step_size(c, 127), rel=1e-14)
 
     def test_uniform_balance_identity(self):
         for phi, alpha, N in [(0.0, 0.5, 16), (0.67, 0.25, 63), (0.27, 0.7, 5)]:
             c = _contour(phi)
-            h = UniformStep(alpha).step_size(None, c, N)
+            h = UniformStep(alpha).step_size(c, N)
             assert math.pi * c.d1 / h == pytest.approx(alpha * (N + 1) * h, rel=1e-13)
 
     def test_uniform_rejects_bad_alpha(self):
@@ -221,19 +221,34 @@ class TestStepRules:
             with pytest.raises(ValueError, match="alpha"):
                 UniformStep(alpha)
 
-    def test_large_t_values(self):
-        c = _contour()
-        assert LargeTStep().step_size(None, c, 7) == pytest.approx(math.log(7) / 7, rel=1e-15)
-        assert LargeTStep().step_size(None, c, 100) == pytest.approx(0.046052, rel=1e-4)
-        assert LargeTStep(c1=2.0).step_size(None, c, 10) == pytest.approx(
-            2 * LargeTStep().step_size(None, c, 10), rel=1e-15)
+    def test_window_balance_identity(self):
+        # the strip error exp(-pi d1 / h) equals the truncation error
+        # exp(-a_I t_min cosh(N h)) at t_min
+        for rho0, phi, t_min, N in [(1.0, 0.0, 0.01, 64), (math.pi**2, 0.0, 0.1, 16),
+                                    (50.0, 1.2, 5.0, 32), (1e-3, 0.4, 1e3, 1)]:
+            c = make_contour(SpectralBounds(rho0=rho0, phi=phi))
+            h = WindowStep(t_min).step_size(c, N)
+            assert math.pi * c.d1 / h == pytest.approx(
+                c.a_I * t_min * math.cosh(N * h), rel=1e-12)
+        # with one node there is no truncation, and h is the bracket's end
+        c = _contour(0.3)
+        assert WindowStep(0.5).step_size(c, 0) == pytest.approx(
+            math.pi * c.d1 / (c.a_I * 0.5), rel=1e-13)
 
-    def test_large_t_rejects_small_N(self):
-        for N in (0, 1):
-            with pytest.raises(ValueError, match="N >= 2"):
-                LargeTStep().step_size(None, _contour(), N)
+    def test_window_later_start_shorter_step(self):
+        hs = [WindowStep(t).step_size(_contour(), 64) for t in (1e-3, 0.01, 0.1, 1.0, 10.0)]
+        assert all(a > b for a, b in zip(hs, hs[1:]))
+
+    def test_window_extreme_t_min_no_overflow(self):
+        # every RuntimeWarning is an error under the test configuration
+        for phi in (0.0, 1.2):
+            for rho0 in (1e-3, 1.0, 1e6):
+                c = make_contour(SpectralBounds(rho0=rho0, phi=phi))
+                for t_min in (1e-300, 1e300, 5e-324, 1.7e308):
+                    for N in (0, 1, 64, np.int64(64), 10**12):
+                        assert 0 < WindowStep(t_min).step_size(c, N) < math.inf
 
     def test_calibrated_decreasing(self):
-        hs = [CalibratedStep().step_size(None, _contour(), N) for N in (0, 8, 16, 32, 64)]
+        hs = [CalibratedStep().step_size(_contour(), N) for N in (0, 8, 16, 32, 64)]
         assert all(h > 0 for h in hs)
         assert all(a > b for a, b in zip(hs, hs[1:]))

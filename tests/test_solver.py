@@ -17,7 +17,6 @@ from nonlocalsolver import (
     ExistenceError,
     FixedStep,
     Laplacian1D,
-    LargeTStep,
     NonlocalProblem,
     NumericalError,
     SectorialOperator,
@@ -26,6 +25,7 @@ from nonlocalsolver import (
     SpectralBounds,
     UniformStep,
     WeightFunction,
+    WindowStep,
     check_existence,
     make_contour,
     poly_x2_1mx_coefficients,
@@ -89,9 +89,9 @@ class TestProblemValidation:
                 SolverConfig(n=n, N=N)
         with pytest.raises(ValueError):
             FixedStep(h=0.0)
-        for c1 in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="c1 must be positive"):
-                LargeTStep(c1=c1)
+        for t_min in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_min must be positive and finite"):
+                WindowStep(t_min)
         for rho1 in (-1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rho1"):
                 SolverConfig(rho1=rho1)
@@ -236,7 +236,7 @@ class TestSolveAt:
 
     def test_step_modes_all_run(self):
         problem = _scalar_problem(lam=1.0)
-        for step in (UniformStep(), UniformStep(alpha=0.3), LargeTStep(c1=0.8),
+        for step in (UniformStep(), UniformStep(alpha=0.3), WindowStep(0.5),
                      CalibratedStep(), FixedStep(h=0.2)):
             sample = solve_at(problem, SolverConfig(n=4, N=32, step=step), 1.0)
             assert abs(sample.value[0] - math.exp(-1.0)) <= 1e-2
@@ -252,10 +252,9 @@ class TestSolveAt:
                     solve_many(problem, SolverConfig(n=4, N=8), ts)
 
     def test_refuses_config_the_operator_rules_out(self):
-        # rho1 must lie below rho0, and the large-t step needs N >= 2
+        # rho1 must lie below rho0
         problem = _scalar_problem(lam=5.0)
-        for config in (SolverConfig(rho1=5.0), SolverConfig(rho1=50.0),
-                       SolverConfig(N=1, step=LargeTStep())):
+        for config in (SolverConfig(rho1=5.0), SolverConfig(rho1=50.0)):
             with pytest.raises(ConfigError):
                 solve_at(problem, config, 0.5)
 
@@ -427,6 +426,51 @@ class TestOracleAgreement:
         sample = solve_at(problem, SolverConfig(n=16, N=64, step=CalibratedStep()), 1.0)
         ref = reference_solution(op, w, math.pi / 2, u0, 1.0)
         assert abs(sample.value[0] - ref[0]) <= 1e-10 * abs(ref[0])
+
+
+def _example2_problem():
+    op = SineSpectralOperator(200)
+    return NonlocalProblem(op=op, T=math.pi / 2, w=WeightFunction.cos_square(),
+                           u0=poly_x2_1mx_coefficients(200))
+
+
+def _worst_error(problem, step, N, ts, refs):
+    """The largest error over the times, relative to max|u0|."""
+    samples = solve_many(problem, SolverConfig(n=16, N=N, step=step), ts)
+    return max(np.max(np.abs(s.value - r)) for s, r in zip(samples, refs)) / np.max(
+        np.abs(problem.u0))
+
+
+class TestWindowStep:
+    def test_laplacian_window_reaches_rounding(self):
+        op = Laplacian1D(1000)
+        u0 = sum(np.sin(k * math.pi * op.grid) / k for k in range(1, 9))
+        problem = NonlocalProblem(op=op, T=1.0, w=WeightFunction.cos(), u0=u0)
+        ts = np.geomspace(0.01, 2.0, 12)
+        refs = reference_solution(op, problem.w, problem.T, u0, ts)
+        assert _worst_error(problem, WindowStep(0.01), 64, ts, refs) <= 1e-14
+
+    @pytest.mark.parametrize("window", [(0.1, 1.0), (1.0, 10.0), (5.0, 50.0)],
+                             ids=["0.1-1", "1-10", "5-50"])
+    def test_example2_window_as_good_as_log_step(self, window):
+        # the window rule replaced h = ln(N) / N, and is at least as accurate
+        # on each window, down to 1e-15 of max|u0|
+        problem = _example2_problem()
+        ts = np.geomspace(*window, 8)
+        refs = reference_solution(problem.op, problem.w, problem.T, problem.u0, ts)
+        for N in (16, 32, 64):
+            window_err = _worst_error(problem, WindowStep(window[0]), N, ts, refs)
+            log_err = _worst_error(problem, FixedStep(math.log(N) / N), N, ts, refs)
+            assert window_err <= max(log_err, 1e-15), (N, window_err, log_err)
+
+    def test_extreme_t_min_solves_without_warning(self):
+        # every RuntimeWarning is an error under the test configuration
+        problem = _example2_problem()
+        for t_min in (1e-300, 1e300):
+            samples = solve_many(problem, SolverConfig(N=64, step=WindowStep(t_min)),
+                                 [t_min, 1.0, math.inf])
+            assert all(np.all(np.isfinite(s.value)) for s in samples)
+            assert not np.any(samples[2].value)
 
 
 def test_no_warning_for_benign_problem():
