@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from .contour import SpectralBounds, make_contour
 from .errors import ConfigError, ExistenceError, NumericalError
 from .operators import (
     DiagonalOperator,
@@ -30,6 +31,7 @@ from .solver import (
     UniformStep,
     WindowStep,
     check_node_buffer,
+    node_stage_bytes,
     solve_at,
     solve_many,
 )
@@ -40,6 +42,8 @@ from .solver import (
 BENCH1_C0 = (1.0 + math.pi**4 + math.pi**2 + math.exp(-math.pi**3 / 2)) / (
     1.0 + math.pi**4
 )
+# benchmark 2: w = cos(s^2), u0 = (1-x) x^2 in this many sine modes
+BENCH2_MODES = 200
 
 N_HELP = ("Gauss order: n+1 points per panel of the I(z) rule; the panel count "
           "is chosen per contour node")
@@ -267,9 +271,25 @@ def _benchmark1_value(n, N, t=1.0, x=0.5):
     return _benchmark_value(WeightFunction.cos(), np.array([BENCH1_C0]), n, N, t, x)
 
 
-def _benchmark2_value(n, N, t=1.0, x=0.4, modes=200):
+def _benchmark2_value(n, N, t=1.0, x=0.4, modes=BENCH2_MODES):
     u0 = poly_x2_1mx_coefficients(modes)
     return _benchmark_value(WeightFunction.cos_square(), u0, n, N, t, x)
+
+
+def _benchmark2_reference(n, N):
+    """(n, N) of the self-reference that example 2 is measured against."""
+    return min(max(2 * n, 64), MAX_GAUSS_ORDER), max(2 * N, 512)
+
+
+def _check_benchmark_plans(example, n, N):
+    """Refuse with ConfigError, before any solve, a plan of
+    run_reproduction(example, n, N) whose node buffer and I(z) stage exceed
+    the budget of check_node_buffer."""
+    contour = make_contour(SpectralBounds(math.pi**2))  # the sine modes' bounds, rho1 = 0
+    plans = [(n, N, 1)] if example == 1 else [(n, N, BENCH2_MODES),
+                                              (*_benchmark2_reference(n, N), BENCH2_MODES)]
+    for n_, N_, dim in plans:
+        check_node_buffer(N_, dim, stage_bytes=node_stage_bytes(n_, contour))
 
 
 def run_reproduction(example: int, n: int, N: int):
@@ -282,7 +302,7 @@ def run_reproduction(example: int, n: int, N: int):
     if example == 2:
         t, x = 1.0, 0.4
         value = _benchmark2_value(n, N, t, x)
-        ref = _benchmark2_value(min(max(2 * n, 64), MAX_GAUSS_ORDER), max(2 * N, 512), t, x)
+        ref = _benchmark2_value(*_benchmark2_reference(n, N), t, x)
         return [(n, N, t, x, value, abs(value - ref))]
     raise ConfigError(f"example must be 1 or 2, got {example}")
 
@@ -349,11 +369,15 @@ def _main(argv):
         emit_csv(rows, args.out if args.out is not None else rc.out)
     elif args.command == "reproduce":
         n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
-        rows = run_reproduction(args.example, n, _at("--N", _int, args.N, low=0))
+        N = _at("--N", _int, args.N, low=0)
+        _at("--N", _check_benchmark_plans, args.example, n, N)
+        rows = run_reproduction(args.example, n, N)
         emit_csv(rows, args.out)
     else:
         n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
         N_list = _at("--N-list", _list, args.N_list, lambda p: _int(p, low=0), "N")
+        for N in N_list:  # every plan is checked before the first solve
+            _at("--N-list", _check_benchmark_plans, args.example, n, N)
         rows = run_convergence(n, N_list)
         emit_csv(rows, args.out)
     return 0

@@ -11,8 +11,10 @@ e^{-zs} is resolved to double precision (see
 quadrature.nonlocal_integral). For real data the integrand at -zeta is the
 conjugate of the integrand at zeta, so the sum is folded onto k >= 0 and the
 number of resolvent solves drops from 2N+1 to N+1. The fold is done once per
-plan: with use_symmetry=False the 2N+1 nodes are solved and each -k row is
-averaged with the conjugate of its k row. Both settings then store N+1
+plan: with use_symmetry=False the 2N+1 nodes are solved, and each -k node is
+added, conjugated, into the buffer row of its k node as soon as it is solved;
+halving those rows at the end averages each pair in place, so no 2N+1-row
+buffer and no temporary of the fold is allocated. Both settings then store N+1
 coefficients, weighted 2 for k >= 1, and the real and imaginary parts of
 their resolvents as the rows of one real buffer, in descending k so that
 each sum adds its smallest terms first. The whole sum runs in the
@@ -61,8 +63,8 @@ _TILE_BYTES = _L2_BYTES // 4
 # factors |f_k(t)| below this are set to zero in _Plan.samples, so that no
 # product runs subnormal; a fixed constant, not an option
 _NEGLIGIBLE = 2.0**-800
-# bytes a plan's real (K, 2, dim) node buffer may take; a larger plan is
-# refused before anything is allocated
+# bytes a plan's real (N+1, 2, dim) node buffer and its I(z) stage may take;
+# a larger plan is refused before anything is allocated
 _NODE_BUFFER_BYTES = 2**30
 
 
@@ -225,17 +227,25 @@ def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionRepo
 
 def check_node_buffer(N: int, dim: int, use_symmetry: bool = True,
                       stage_bytes: int = 0) -> None:
-    """Refuse with ConfigError a plan whose node buffer, K = N+1 folded or
-    2N+1 full rows of 2*dim reals, together with stage_bytes per node for
-    the I(z) stage (quadrature.integral_bytes), exceeds _NODE_BUFFER_BYTES."""
+    """Refuse with ConfigError a plan whose node buffer, N+1 rows of 2*dim
+    reals in both settings, together with stage_bytes for each of its K I(z)
+    nodes, K = N+1 folded or 2N+1 for the full sum (see node_stage_bytes),
+    exceeds _NODE_BUFFER_BYTES."""
     K = N + 1 if use_symmetry else 2 * N + 1
-    size = K * (2 * dim * 8 + stage_bytes)
+    size = (N + 1) * 2 * dim * 8 + K * stage_bytes
     if size > _NODE_BUFFER_BYTES:
         stage = " with its I(z) stage" if stage_bytes else ""
         raise ConfigError(
             f"the node buffer of {K} nodes x dim {dim}{stage} needs {size / 2**30:.3g} GiB, "
             f"above the limit of {_NODE_BUFFER_BYTES / 2**30:g} GiB"
         )
+
+
+def node_stage_bytes(n: int, contour: Contour) -> int:
+    """Bytes per node that the order-n I(z) stage may hold on contour
+    (quadrature.integral_bytes)."""
+    # on the hyperbola |z| / Re z <= 1 / cos(d1/2 + phi), which bounds the panels
+    return integral_bytes(n, 1.0 / math.cos(contour.d1 / 2 + contour.bounds.phi))
 
 
 def _denominator(problem, rule, z):
@@ -256,11 +266,15 @@ class _Plan:
     Holds, per Sinc node z_k with k = N..0, the coefficient
     c_k = z'(kh) / (2 pi i (1 + I_n(z_k))), doubled for k >= 1 to account for
     the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
-    resolvent applied to u0, in one (2(N+1), dim) real buffer. The rows are
-    modal coefficients: u0 goes through op.to_modal once, and samples applies
-    op.from_modal once to the summed values of all requested times. t_zero is
-    the time past which every factor is negligible, so samples leaves the
-    rows of later times zero.
+    resolvent applied to u0, in one (2(N+1), dim) real buffer. With
+    use_symmetry=False the node -k is solved too, after the k >= 0 nodes, and
+    its conjugate is added into the rows of node k at once; the N rows with
+    k >= 1 are then halved, so the full sum allocates no more rows than the
+    folded one, and only its z and coef arrays have 2N+1 entries before their
+    fold. The rows are modal coefficients: u0 goes through op.to_modal once,
+    and samples applies op.from_modal once to the summed values of all
+    requested times. t_zero is the time past which every factor is
+    negligible, so samples leaves the rows of later times zero.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
@@ -288,10 +302,8 @@ class _Plan:
             outer = contour_point(contour, N * self.h)
         if not np.isfinite([outer.z, outer.dz]).all():
             raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
-        # on the hyperbola |z| / Re z <= 1 / cos(d1/2 + phi), which bounds the panels
-        ratio = 1.0 / math.cos(contour.d1 / 2 + contour.bounds.phi)
         check_node_buffer(N, problem.op.dim, config.use_symmetry,
-                          integral_bytes(config.n, ratio))
+                          node_stage_bytes(config.n, contour))
         # descending k: the terms decay with |k|, so the sums add the smallest first
         ks = np.arange(N, -1 if config.use_symmetry else -N - 1, -1)
         nodes = contour_point(contour, ks * self.h)
@@ -299,15 +311,21 @@ class _Plan:
         coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
         self.op = problem.op
         c0 = self.op.to_modal(problem.u0).astype(complex)  # converted once, not per node
-        r1 = np.empty((len(z), 2, self.op.dim))
-        for row, zk in zip(r1, z):
+        r1 = np.empty((N + 1, 2, self.op.dim))
+        for row, zk in zip(r1, z[:N + 1]):
             r = self.op.modified_resolvent_apply(zk, c0)
             row[0], row[1] = r.real, r.imag
         if not config.use_symmetry:
-            # fold the -k rows onto k (Re parts add, Im parts subtract): exact
-            # when the data are conjugate-symmetric, as they are for real w and u0
+            # fold each -k node onto row k as it is solved (Re parts add, Im
+            # parts subtract), then average: exact when the data are
+            # conjugate-symmetric, as they are for real w and u0
+            for row, zk in zip(r1[:N][::-1], z[N + 1:]):
+                r = self.op.modified_resolvent_apply(zk, c0)
+                row[0] += r.real
+                row[1] -= r.imag
+            r1[:N] *= 0.5  # the same bits as / 2, and faster
+            r1[N, 1] = 0.0  # the k = 0 node is its own conjugate
             z, coef = ((a[:N + 1] + a[N:][::-1].conj()) / 2 for a in (z, coef))
-            r1 = (r1[:N + 1] + r1[N:][::-1] * np.array([[1.0], [-1.0]])) / 2
         coef[:-1] *= 2.0
         self.z, self.coef = z, coef
         # past t_zero every |f_k(t)| <= |c_k| e^{-t Re z_k} is below _NEGLIGIBLE / e,

@@ -381,6 +381,24 @@ class TestMain:
         # the self-reference of example 2 stays within the bound on n
         assert main(["reproduce", "--example", "2", "--n", "100", "--N", "16"]) == 0
 
+    def test_huge_N_refused_under_its_flag(self, capsys, monkeypatch):
+        # the node budget of every plan the command builds, example 2's
+        # self-reference at 2N included, is checked before the first solve
+        plans = []
+        monkeypatch.setattr(solver, "_Plan", lambda *a: plans.append(a))
+        for argv, flag, nodes in (
+                (["reproduce", "--example", "1", "--n", "8", "--N", "100000000"], "--N",
+                 "100000001 nodes x dim 1 "),
+                (["reproduce", "--example", "2", "--n", "8", "--N", "100000"], "--N",
+                 "200001 nodes x dim 200 "),
+                (["converge", "--n", "8", "--N-list", "16,100000000"], "--N-list",
+                 "100000001 nodes x dim 1 ")):
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key {flag}: the node buffer of {nodes}")
+            assert err.count("key ") == 1
+        assert plans == []
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2
 

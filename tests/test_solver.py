@@ -33,7 +33,16 @@ from nonlocalsolver import (
     solve_at,
     solve_many,
 )
-from nonlocalsolver.solver import _BLOCK, _L2_BYTES, _NEGLIGIBLE, _TILE_BYTES, _Plan
+from nonlocalsolver.contour import contour_point
+from nonlocalsolver.quadrature import gauss_legendre, nonlocal_integral
+from nonlocalsolver.solver import (
+    _BLOCK,
+    _L2_BYTES,
+    _NEGLIGIBLE,
+    _TILE_BYTES,
+    _Plan,
+    check_node_buffer,
+)
 
 pytestmark = pytest.mark.filterwarnings("ignore:sup")
 
@@ -512,6 +521,61 @@ def test_custom_operator_matches_its_eigenbasis():
         assert op.resolvent_calls == calls
 
 
+@pytest.mark.parametrize("N", [0, 1, 24])
+@pytest.mark.parametrize("make_op", [
+    lambda: DiagonalOperator([2.0, 9.0, 30.0]),
+    lambda: Laplacian1D(40),
+    lambda: _DenseSymmetric([[3.0, 1.0], [1.0, 5.0]]),
+], ids=["diagonal", "laplacian", "dense"])
+def test_full_sum_fold_matches_out_of_place_fold(make_op, N):
+    # the plan folds each -k node into row k as it is solved; the result must
+    # be the average of the two rows taken after all 2N+1 solves, bit for bit
+    op = make_op()
+    problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(),
+                              u0=np.linspace(-1.0, 0.7, op.dim))
+    config = SolverConfig(n=8, N=N, step=CalibratedStep(), use_symmetry=False)
+    solved, apply = [], op.modified_resolvent_apply
+
+    def record(z, c):
+        r = apply(z, c)
+        solved.append((z, r.copy()))
+        return r
+
+    op.modified_resolvent_apply = record
+    plan = _Plan(problem, config)
+    assert len(solved) == 2 * N + 1
+    z = np.array([zk for zk, _ in solved])
+    r1 = np.array([[r.real, r.imag] for _, r in solved])
+    contour = make_contour(op.spectral)
+    dz = contour_point(contour, np.arange(N, -N - 1, -1) * plan.h).dz
+    coef = dz / (2j * math.pi * (1.0 + nonlocal_integral(gauss_legendre(8), problem.w,
+                                                         problem.T, z)))
+    z, coef = ((a[:N + 1] + a[N:][::-1].conj()) / 2 for a in (z, coef))
+    coef[:-1] *= 2.0
+    r1 = (r1[:N + 1] + r1[N:][::-1] * np.array([[1.0], [-1.0]])) / 2
+    # compared as bits, so that the sign of a zero counts too
+    for got, want in ((plan.r1, r1.reshape(2 * (N + 1), -1)), (plan.z, z), (plan.coef, coef)):
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_full_sum_allocates_no_full_buffer():
+    # the full sum folds into an (N+1)-row buffer as it solves; holding all
+    # 2N+1 rows, and the temporaries of folding them, would read about 3x
+    problem = _laplacian_problem(2000)
+    N = 64
+    config = SolverConfig(N=N, use_symmetry=False)
+    _Plan(problem, config)  # the Gauss rule and leggauss caches are warm
+    tracemalloc.start()
+    try:
+        plan = _Plan(problem, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = (N + 1) * 2 * problem.op.dim * 8
+    assert plan.r1.nbytes == buffer
+    assert peak <= 1.25 * buffer
+
+
 def _run_capped(argv):
     """Run python argv with 2 GiB of address space: a plan that escaped the
     node-buffer budget would end in MemoryError, not exhaust the machine."""
@@ -555,6 +619,22 @@ class TestNodeBufferBudget:
         assert r.returncode == 0, r.stderr
         assert r.stdout.startswith(
             "refused: the node buffer of 2000001 nodes x dim 1 with its I(z) stage needs")
+
+    def test_budget_arithmetic_at_the_limit(self):
+        # N+1 buffer rows of 2*dim reals in both settings, plus stage_bytes for
+        # each of the K = N+1 or 2N+1 I(z) nodes, may take 2^30 bytes and no more
+        for use_symmetry in (True, False):
+            check_node_buffer(2**26 - 1, 1, use_symmetry)
+            with pytest.raises(ConfigError, match="dim 1 needs 1 GiB"):
+                check_node_buffer(2**26, 1, use_symmetry)
+        N, dim = 2**10 - 1, 2**15  # a buffer of 2^29 bytes leaves 2^29 for the stage
+        for use_symmetry, K in ((True, N + 1), (False, 2 * N + 1)):
+            stage = 2**29 // K
+            check_node_buffer(N, dim, use_symmetry, stage)
+            with pytest.raises(ConfigError, match=f"of {K} nodes x dim {dim} with its I"):
+                check_node_buffer(N, dim, use_symmetry, stage + 1)
+        # a full sum whose 2N+1 nodes would not fit as buffer rows fits as N+1
+        check_node_buffer(2**25, 1, use_symmetry=False)
 
     def test_cli_refuses_huge_m(self, tmp_path):
         cfg = tmp_path / "big.cfg"
