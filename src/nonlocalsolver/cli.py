@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from .contour import SpectralBounds, make_contour
 from .errors import ConfigError, ExistenceError, NumericalError
 from .operators import (
     DiagonalOperator,
@@ -31,7 +30,6 @@ from .solver import (
     UniformStep,
     WindowStep,
     check_node_buffer,
-    node_stage_bytes,
     solve_at,
     solve_many,
 )
@@ -187,13 +185,17 @@ def _build_operator(rc: RunConfig):
     for k in ("m", "modes"):
         if k != key and rc.raw[k] is not None:
             raise ConfigError(f"key {k}: not read by operator {kind}")
-    if key is None:
+    if key is None:  # sized by its list of eigenvalues
         lams = spec[len("diagonal:"):].split(",")
-        return _at("operator", lambda: DiagonalOperator([_real(p) for p in lams]))
-    if rc.raw[key] is None:
+        key, size = "operator", len(lams)
+        make = lambda _: DiagonalOperator([_real(p) for p in lams])
+    elif rc.raw[key] is None:
         raise ConfigError(f"missing required key {key!r} for operator {kind}")
-    size = _at(key, _int, rc.raw[key])
-    _at(key, check_node_buffer, rc.N, size)  # refused before the operator allocates anything
+    else:
+        size = _at(key, _int, rc.raw[key])
+    # refused before anything is allocated: one node's row under the size key, all under N
+    _at(key, check_node_buffer, rc.n, 0, size)
+    _at("N", check_node_buffer, rc.n, rc.N, size)
     return _at(key, make, size)
 
 
@@ -283,13 +285,10 @@ def _benchmark2_reference(n, N):
 
 def _check_benchmark_plans(example, n, N):
     """Refuse with ConfigError, before any solve, a plan of
-    run_reproduction(example, n, N) whose node buffer and I(z) stage exceed
-    the budget of check_node_buffer."""
-    contour = make_contour(SpectralBounds(math.pi**2))  # the sine modes' bounds, rho1 = 0
-    plans = [(n, N, 1)] if example == 1 else [(n, N, BENCH2_MODES),
-                                              (*_benchmark2_reference(n, N), BENCH2_MODES)]
-    for n_, N_, dim in plans:
-        check_node_buffer(N_, dim, stage_bytes=node_stage_bytes(n_, contour))
+    run_reproduction(example, n, N) over the budget of check_node_buffer."""
+    check_node_buffer(n, N, 1 if example == 1 else BENCH2_MODES)
+    if example == 2:  # and its self-reference
+        check_node_buffer(*_benchmark2_reference(n, N), BENCH2_MODES)
 
 
 def run_reproduction(example: int, n: int, N: int):

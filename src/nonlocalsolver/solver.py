@@ -225,27 +225,21 @@ def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionRepo
     )
 
 
-def check_node_buffer(N: int, dim: int, use_symmetry: bool = True,
-                      stage_bytes: int = 0) -> None:
-    """Refuse with ConfigError a plan whose node buffer, N+1 rows of 2*dim
-    reals in both settings, together with stage_bytes for each of its K I(z)
-    nodes, K = N+1 folded or 2N+1 for the full sum (see node_stage_bytes),
-    exceeds _NODE_BUFFER_BYTES."""
+def check_node_buffer(n: int, N: int, dim: int, use_symmetry: bool = True,
+                      phi: float = 0.0) -> None:
+    """Refuse with ConfigError a plan of order n, truncation N and dimension
+    dim whose node buffer, N+1 rows of 2*dim reals in both settings, and I(z)
+    stage for its K nodes, K = N+1 folded or 2N+1 for the full sum, exceed
+    _NODE_BUFFER_BYTES. A node's stage is charged at rho1 = 0, where the bound
+    |z| / Re z <= 1 / cos(pi/4 + phi/2) is largest, so never below its own."""
     K = N + 1 if use_symmetry else 2 * N + 1
-    size = (N + 1) * 2 * dim * 8 + K * stage_bytes
+    stage = integral_bytes(n, 1.0 / math.cos(math.pi / 4 + phi / 2))
+    size = (N + 1) * 2 * dim * 8 + K * stage
     if size > _NODE_BUFFER_BYTES:
-        stage = " with its I(z) stage" if stage_bytes else ""
         raise ConfigError(
-            f"the node buffer of {K} nodes x dim {dim}{stage} needs {size / 2**30:.3g} GiB, "
-            f"above the limit of {_NODE_BUFFER_BYTES / 2**30:g} GiB"
+            f"the node buffer of {K} nodes x dim {dim} with its I(z) stage needs "
+            f"{size / 2**30:.3g} GiB, above the limit of {_NODE_BUFFER_BYTES / 2**30:g} GiB"
         )
-
-
-def node_stage_bytes(n: int, contour: Contour) -> int:
-    """Bytes per node that the order-n I(z) stage may hold on contour
-    (quadrature.integral_bytes)."""
-    # on the hyperbola |z| / Re z <= 1 / cos(d1/2 + phi), which bounds the panels
-    return integral_bytes(n, 1.0 / math.cos(contour.d1 / 2 + contour.bounds.phi))
 
 
 def _denominator(problem, rule, z):
@@ -302,15 +296,21 @@ class _Plan:
             outer = contour_point(contour, N * self.h)
         if not np.isfinite([outer.z, outer.dz]).all():
             raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
-        check_node_buffer(N, problem.op.dim, config.use_symmetry,
-                          node_stage_bytes(config.n, contour))
+        check_node_buffer(config.n, N, problem.op.dim, config.use_symmetry,
+                          problem.op.spectral.phi)
         # descending k: the terms decay with |k|, so the sums add the smallest first
         ks = np.arange(N, -1 if config.use_symmetry else -N - 1, -1)
         nodes = contour_point(contour, ks * self.h)
         z = nodes.z
         coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
         self.op = problem.op
-        c0 = self.op.to_modal(problem.u0).astype(complex)  # converted once, not per node
+        # the plan solves 2^-k u0, its largest entry in [1/2, 1) unless h 2^k would
+        # leave the normal range, and samples multiplies by h 2^k: both exact, so
+        # data near the float max or subnormal keep their digits, the rest their bits
+        e = math.frexp(self.h)[1]
+        k = min(max(math.frexp(float(np.max(np.abs(problem.u0))))[1], -1021 - e), 1024 - e)
+        self.scale = math.ldexp(self.h, k)
+        c0 = self.op.to_modal(np.ldexp(problem.u0, -k)).astype(complex)  # once, not per node
         r1 = np.empty((N + 1, 2, self.op.dim))
         for row, zk in zip(r1, z[:N + 1]):
             r = self.op.modified_resolvent_apply(zk, c0)
@@ -363,7 +363,7 @@ class _Plan:
             tile = self.r1[:, c:c + width]
             np.matmul(e, tile.copy() if copy else tile, out=values[:, :, c:c + width])
         values = values.reshape(-1, dim)[:nt]
-        values *= self.h
+        values *= self.scale
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
                 for t, v in zip(ts, self.op.from_modal(values))]
 

@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 
 import numpy as np
@@ -7,8 +8,11 @@ import pytest
 
 from nonlocalsolver import (
     ConfigError,
+    DiagonalOperator,
     Laplacian1D,
+    NonlocalProblem,
     SineSpectralOperator,
+    SolverConfig,
     WeightFunction,
     cli,
     poly_x2_1mx_coefficients,
@@ -22,6 +26,7 @@ from nonlocalsolver.cli import (
     run_reproduction,
 )
 from nonlocalsolver import solver
+from nonlocalsolver.quadrature import integral_bytes
 from nonlocalsolver.solver import CalibratedStep, FixedStep, UniformStep, WindowStep
 
 pytestmark = pytest.mark.filterwarnings("ignore:sup")
@@ -398,6 +403,77 @@ class TestMain:
             assert err.startswith(f"config error: key {flag}: the node buffer of {nodes}")
             assert err.count("key ") == 1
         assert plans == []
+
+    def test_solve_refusals_name_one_key_and_build_nothing(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # solve sizes its plan, I(z) stage included, before any operator or
+        # _Plan exists: under the size key when one node's row alone is over
+        # the budget, under N otherwise, for every operator kind
+        built = []
+        monkeypatch.setattr(solver, "_Plan", lambda *a: built.append(a))
+        for cls in (DiagonalOperator, Laplacian1D, SineSpectralOperator):
+            monkeypatch.setattr(cls, "__init__", lambda self, *a: built.append(a))
+        cfg = tmp_path / "big.cfg"
+        for body, key, nodes in (
+                ("operator = diagonal:2,5\nN = 400000\nstep_mode = fixed:1e-4\n", "N",
+                 "400001 nodes x dim 2 "),
+                ("operator = sine_spectral\nmodes = 2000\nN = 40000\n", "N",
+                 "40001 nodes x dim 2000 "),
+                ("operator = diagonal:2,5\nN = 1000000\n", "N", "1000001 nodes x dim 2 "),
+                ("operator = laplacian1d\nm = 1000000000\n", "m",
+                 "1 nodes x dim 1000000000 ")):
+            cfg.write_text(body + "T = 1\nweight = cos\nu0 = sine:1\nt = 0.5\n")
+            assert main(["solve", "--config", str(cfg)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: key {key}: the node buffer of {nodes}")
+            assert err.count("key ") == 1
+        assert built == []
+
+    def test_solve_and_plan_agree_on_the_budget(self, tmp_path, capsys, monkeypatch):
+        # on a grid of plans whose bytes straddle 2^30 at rho1 = 0, solve's
+        # pre-check refuses exactly the plans that _Plan refuses; a plan that
+        # passes is stopped before it allocates anything per node
+        class Passed(Exception):
+            pass
+
+        def stop(*args):
+            raise Passed
+
+        def plan_refuses(n, N, dim, use_symmetry):
+            problem = NonlocalProblem(op=SineSpectralOperator(dim), T=1.0,
+                                      w=WeightFunction.zero(), u0=np.zeros(dim))
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_denominator", stop)  # the first step after the check
+                try:
+                    solver._Plan(problem, SolverConfig(n=n, N=N, use_symmetry=use_symmetry))
+                except ConfigError as e:
+                    return str(e).startswith("the node buffer of ")
+                except Passed:
+                    return False
+
+        def solve_refuses(n, N, dim):
+            cfg = tmp_path / "p.cfg"
+            cfg.write_text(f"operator = sine_spectral\nmodes = {dim}\nT = 1\n"
+                           f"weight = const:0\nu0 = sine:1\nt = 0.5\nn = {n}\nN = {N}\n")
+            with monkeypatch.context() as m:
+                m.setattr(solver, "_Plan", stop)
+                try:
+                    code = main(["solve", "--config", str(cfg)])
+                except Passed:
+                    return False
+            assert code == 2
+            assert capsys.readouterr().err.startswith("config error: key N: the node buffer")
+            return True
+
+        for n, N, use_symmetry in itertools.product((4, 16), (2**10 - 1, 2**12 - 1),
+                                                    (True, False)):
+            K = N + 1 if use_symmetry else 2 * N + 1
+            fits = (2**30 - K * integral_bytes(n, 1 / math.cos(math.pi / 4))) // (16 * (N + 1))
+            for dim in (fits - 1, fits, fits + 1):
+                refused = plan_refuses(n, N, dim, use_symmetry)
+                assert refused == (dim > fits)
+                if use_symmetry:  # the CLI builds folded plans only
+                    assert solve_refuses(n, N, dim) == refused
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2

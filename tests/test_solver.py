@@ -34,7 +34,7 @@ from nonlocalsolver import (
     solve_many,
 )
 from nonlocalsolver.contour import contour_point
-from nonlocalsolver.quadrature import gauss_legendre, nonlocal_integral
+from nonlocalsolver.quadrature import gauss_legendre, integral_bytes, nonlocal_integral
 from nonlocalsolver.solver import (
     _BLOCK,
     _L2_BYTES,
@@ -357,7 +357,7 @@ class TestSolveMany:
                 tile = plan.r1[:, c:c + width]
                 for b in range(0, len(ts), _BLOCK):
                     ref[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
-            ref *= plan.h
+            ref *= plan.scale
             assert np.array_equal(np.array([s.value for s in plan.samples(ts)]), ref)
 
     def test_no_times_gives_empty_list(self):
@@ -578,12 +578,14 @@ def test_full_sum_allocates_no_full_buffer():
 
 def _run_capped(argv):
     """Run python argv with 2 GiB of address space: a plan that escaped the
-    node-buffer budget would end in MemoryError, not exhaust the machine."""
+    node-buffer budget would end in MemoryError, not exhaust the machine. A
+    numpy RuntimeWarning is an error there, as it is in the tests themselves."""
     cap = 2**31
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
     return subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", *argv], env=env, capture_output=True,
+        text=True, timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
 
@@ -621,20 +623,22 @@ class TestNodeBufferBudget:
             "refused: the node buffer of 2000001 nodes x dim 1 with its I(z) stage needs")
 
     def test_budget_arithmetic_at_the_limit(self):
-        # N+1 buffer rows of 2*dim reals in both settings, plus stage_bytes for
-        # each of the K = N+1 or 2N+1 I(z) nodes, may take 2^30 bytes and no more
-        for use_symmetry in (True, False):
-            check_node_buffer(2**26 - 1, 1, use_symmetry)
-            with pytest.raises(ConfigError, match="dim 1 needs 1 GiB"):
-                check_node_buffer(2**26, 1, use_symmetry)
-        N, dim = 2**10 - 1, 2**15  # a buffer of 2^29 bytes leaves 2^29 for the stage
-        for use_symmetry, K in ((True, N + 1), (False, 2 * N + 1)):
-            stage = 2**29 // K
-            check_node_buffer(N, dim, use_symmetry, stage)
-            with pytest.raises(ConfigError, match=f"of {K} nodes x dim {dim} with its I"):
-                check_node_buffer(N, dim, use_symmetry, stage + 1)
+        # N+1 buffer rows of 2*dim reals in both settings, plus the I(z) stage
+        # of each of the K = N+1 or 2N+1 nodes, may take 2^30 bytes and no
+        # more; at n = 16 and phi = 0 the stage of one node is 3264 bytes
+        assert integral_bytes(16, 1 / math.cos(math.pi / 4)) == 3264
+        for N, dim, use_symmetry, K in ((2**10 - 1, 2**16 - 204, True, 2**10),
+                                        (3, 16776859, False, 7)):
+            assert (N + 1) * 2 * dim * 8 + K * 3264 == 2**30
+            check_node_buffer(16, N, dim, use_symmetry)
+            message = rf"of {K} nodes x dim {dim + 1} with its I\(z\) stage needs 1 GiB"
+            with pytest.raises(ConfigError, match=message):
+                check_node_buffer(16, N, dim + 1, use_symmetry)
+            # a sector of half-angle phi > 0 widens the hyperbola, and its stage
+            with pytest.raises(ConfigError, match=f"of {K} nodes x dim {dim} "):
+                check_node_buffer(16, N, dim, use_symmetry, phi=0.5)
         # a full sum whose 2N+1 nodes would not fit as buffer rows fits as N+1
-        check_node_buffer(2**25, 1, use_symmetry=False)
+        check_node_buffer(16, 2, 2**24, use_symmetry=False)
 
     def test_cli_refuses_huge_m(self, tmp_path):
         cfg = tmp_path / "big.cfg"
@@ -643,3 +647,37 @@ class TestNodeBufferBudget:
         r = _run_capped(["-m", "nonlocalsolver.cli", "solve", "--config", str(cfg)])
         assert r.returncode == 2, r.stderr
         assert r.stderr.startswith("config error: key m: the node buffer")
+
+
+class TestExtremeData:
+    """u0 near the float max or subnormal is solved as 2^-k u0, with k from
+    frexp of its largest entry, and scaled back in the product with h."""
+
+    @staticmethod
+    def _solve(op, u0, t=0.5):
+        problem = NonlocalProblem(op=op, T=1.0, w=WeightFunction.cos(), u0=u0)
+        return solve_at(problem, SolverConfig(), t).value
+
+    @pytest.mark.parametrize("op, u0", [
+        (DiagonalOperator([2.0, 9.0]), [1.7e308, -1.7e308]),
+        (Laplacian1D(50), [1.7e308] * 50),
+        (DiagonalOperator([2.0, 9.0]), [1e-320, 5e-324]),
+    ], ids=["diagonal-huge", "laplacian-huge", "diagonal-subnormal"])
+    def test_value_is_the_scaled_solve(self, op, u0):
+        u0 = np.asarray(u0)
+        k = math.frexp(np.max(np.abs(u0)))[1]
+        value = self._solve(op, u0)
+        assert np.isfinite(value).all() and value[0] != 0
+        scaled = np.ldexp(self._solve(op, np.ldexp(u0, -k)), k)
+        assert np.array_equal(value.view(np.uint64), scaled.view(np.uint64))
+
+    def test_cli_solves_huge_u0(self, tmp_path):
+        u0 = np.array([1.7e308, -1.7e308])
+        (tmp_path / "u0.txt").write_text("1.7e308\n-1.7e308\n")
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"operator = diagonal:2,9\nT = 1\nweight = cos\n"
+                       f"u0 = {tmp_path / 'u0.txt'}\nt = 0.5\n")
+        r = _run_capped(["-m", "nonlocalsolver.cli", "solve", "--config", str(cfg)])
+        assert r.returncode == 0, r.stderr
+        value = np.ldexp(self._solve(DiagonalOperator([2.0, 9.0]), np.ldexp(u0, -1024)), 1024)
+        assert r.stdout == f"n,N,t,x,value,abs_error\n16,64,0.5,,{value[0]:.17g},\n"
