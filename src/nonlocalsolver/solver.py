@@ -10,23 +10,22 @@ panel, with the number of panels chosen by the program from |z| so that
 e^{-zs} is resolved to double precision (see
 quadrature.nonlocal_integral). For real data the integrand at -zeta is the
 conjugate of the integrand at zeta, so the sum is folded onto k >= 0 and the
-number of resolvent solves drops from 2N+1 to N+1. The fold is done once per
-plan: with use_symmetry=False the 2N+1 nodes are solved, and each -k node is
-added, conjugated, into the buffer row of its k node as soon as it is solved;
-halving those rows at the end averages each pair in place, so no 2N+1-row
-buffer and no temporary of the fold is allocated. Both settings then store N+1
-coefficients, weighted 2 for k >= 1, and the real and imaginary parts of
-their resolvents as the rows of one real buffer, in descending k so that
-each sum adds its smallest terms first. The whole sum runs in the
-operator's modal coordinates (SectorialOperator.to_modal; the identity for an
-operator without a basis of its own): u0 is transformed once, each node
-applies the modified resolvent to those coefficients, and each requested time
-costs one from_modal back to the state. u(t) is the real part of the sum,
-h times one stacked matrix product per column tile of the buffer, in fixed
-blocks of _BLOCK times. The tile width follows from the buffer's shape alone,
-each block has _BLOCK rows, the last one zero-padded, and copying a tile to
-contiguous memory changes no operand; so a time's value does not depend on
-the other times of the call.
+number of resolvent solves drops from 2N+1 to N+1. Both settings build the
+same N+1 nodes z_k, k = N..0, their I(z) stage and their coefficients,
+weighted 2 for k >= 1, and store the real and imaginary parts of the
+resolvents as the rows of one real buffer, in descending k so that each sum
+adds its smallest terms first. With use_symmetry=False the plan also solves
+the N conjugate nodes conj(z_k), k >= 1, adds each result, conjugated, into
+row k, and halves those rows at the end: each pair is averaged in place. The
+whole sum runs in the operator's modal coordinates
+(SectorialOperator.to_modal; the identity for an operator without a basis of
+its own): u0 is transformed once, each node applies the modified resolvent to
+those coefficients, and each requested time costs one from_modal back to the
+state. u(t) is the real part of the sum, h times one stacked matrix product
+per column tile of the buffer, in fixed blocks of _BLOCK times. The tile width
+follows from the buffer's shape alone, each block has _BLOCK rows, the last
+one zero-padded, and copying a tile to contiguous memory changes no operand;
+so a time's value does not depend on the other times of the call.
 The factors f_k(t) = c_k e^{-z_k t} of all times come from one vectorized
 exp, and those below _NEGLIGIBLE = 2^-800 in modulus are set to zero before
 the products: they decay double-exponentially in k, and their products with
@@ -225,19 +224,17 @@ def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionRepo
     )
 
 
-def check_node_buffer(n: int, N: int, dim: int, use_symmetry: bool = True,
-                      phi: float = 0.0) -> None:
+def check_node_buffer(n: int, N: int, dim: int, phi: float = 0.0) -> None:
     """Refuse with ConfigError a plan of order n, truncation N and dimension
-    dim whose node buffer, N+1 rows of 2*dim reals in both settings, and I(z)
-    stage for its K nodes, K = N+1 folded or 2N+1 for the full sum, exceed
-    _NODE_BUFFER_BYTES. A node's stage is charged at rho1 = 0, where the bound
+    dim whose N+1 nodes, each a buffer row of 2*dim reals and an I(z) stage,
+    exceed _NODE_BUFFER_BYTES; the full sum solves its N conjugate nodes
+    into the same rows. A node's stage is charged at rho1 = 0, where the bound
     |z| / Re z <= 1 / cos(pi/4 + phi/2) is largest, so never below its own."""
-    K = N + 1 if use_symmetry else 2 * N + 1
     stage = integral_bytes(n, 1.0 / math.cos(math.pi / 4 + phi / 2))
-    size = (N + 1) * 2 * dim * 8 + K * stage
+    size = (N + 1) * (2 * dim * 8 + stage)
     if size > _NODE_BUFFER_BYTES:
         raise ConfigError(
-            f"the node buffer of {K} nodes x dim {dim} with its I(z) stage needs "
+            f"the node buffer of {N + 1} nodes x dim {dim} with its I(z) stage needs "
             f"{size / 2**30:.3g} GiB, above the limit of {_NODE_BUFFER_BYTES / 2**30:g} GiB"
         )
 
@@ -261,14 +258,13 @@ class _Plan:
     c_k = z'(kh) / (2 pi i (1 + I_n(z_k))), doubled for k >= 1 to account for
     the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
     resolvent applied to u0, in one (2(N+1), dim) real buffer. With
-    use_symmetry=False the node -k is solved too, after the k >= 0 nodes, and
-    its conjugate is added into the rows of node k at once; the N rows with
-    k >= 1 are then halved, so the full sum allocates no more rows than the
-    folded one, and only its z and coef arrays have 2N+1 entries before their
-    fold. The rows are modal coefficients: u0 goes through op.to_modal once,
-    and samples applies op.from_modal once to the summed values of all
-    requested times. t_zero is the time past which every factor is
-    negligible, so samples leaves the rows of later times zero.
+    use_symmetry=False the node -k, which is conj(z_k), is solved too, after
+    the k >= 0 nodes, and its conjugate is added into the rows of node k at
+    once; the N rows with k >= 1 are then halved. The rows are modal
+    coefficients: u0 goes through op.to_modal once, and samples applies
+    op.from_modal once to the summed values of all requested times. t_zero is
+    the time past which every factor is negligible, so samples leaves the
+    rows of later times zero.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
@@ -296,44 +292,40 @@ class _Plan:
             outer = contour_point(contour, N * self.h)
         if not np.isfinite([outer.z, outer.dz]).all():
             raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
-        check_node_buffer(config.n, N, problem.op.dim, config.use_symmetry,
-                          problem.op.spectral.phi)
+        check_node_buffer(config.n, N, problem.op.dim, problem.op.spectral.phi)
         # descending k: the terms decay with |k|, so the sums add the smallest first
-        ks = np.arange(N, -1 if config.use_symmetry else -N - 1, -1)
-        nodes = contour_point(contour, ks * self.h)
+        nodes = contour_point(contour, np.arange(N, -1, -1) * self.h)
         z = nodes.z
         coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
+        coef[:-1] *= 2.0
+        self.z, self.coef = z, coef
         self.op = problem.op
-        # the plan solves 2^-k u0, its largest entry in [1/2, 1) unless h 2^k would
-        # leave the normal range, and samples multiplies by h 2^k: both exact, so
-        # data near the float max or subnormal keep their digits, the rest their bits
-        e = math.frexp(self.h)[1]
-        k = min(max(math.frexp(float(np.max(np.abs(problem.u0))))[1], -1021 - e), 1024 - e)
-        self.scale = math.ldexp(self.h, k)
-        c0 = self.op.to_modal(np.ldexp(problem.u0, -k)).astype(complex)  # once, not per node
+        # the plan solves 2^-k u0, its largest entry in [1/2, 1), and samples
+        # multiplies by 2^k after from_modal, whose unnormalized transform could
+        # leave the float range; exact unless a value is subnormal, so data near
+        # the float max or subnormal keep their digits and the rest their bits
+        self.exponent = math.frexp(float(np.max(np.abs(problem.u0))))[1]
+        c0 = self.op.to_modal(np.ldexp(problem.u0, -self.exponent)).astype(complex)
         r1 = np.empty((N + 1, 2, self.op.dim))
-        for row, zk in zip(r1, z[:N + 1]):
+        for row, zk in zip(r1, z):
             r = self.op.modified_resolvent_apply(zk, c0)
             row[0], row[1] = r.real, r.imag
         if not config.use_symmetry:
-            # fold each -k node onto row k as it is solved (Re parts add, Im
-            # parts subtract), then average: exact when the data are
+            # solve each -k node at conj(z_k) and fold it onto row k (Re parts
+            # add, Im parts subtract), then average: exact when the data are
             # conjugate-symmetric, as they are for real w and u0
-            for row, zk in zip(r1[:N][::-1], z[N + 1:]):
-                r = self.op.modified_resolvent_apply(zk, c0)
+            for row, zk in zip(r1, z[:N]):
+                r = self.op.modified_resolvent_apply(zk.conjugate(), c0)
                 row[0] += r.real
                 row[1] -= r.imag
             r1[:N] *= 0.5  # the same bits as / 2, and faster
             r1[N, 1] = 0.0  # the k = 0 node is its own conjugate
-            z, coef = ((a[:N + 1] + a[N:][::-1].conj()) / 2 for a in (z, coef))
-        coef[:-1] *= 2.0
-        self.z, self.coef = z, coef
         # past t_zero every |f_k(t)| <= |c_k| e^{-t Re z_k} is below _NEGLIGIBLE / e,
         # so samples leaves the time's row zero without forming t z_k, which
         # overflows at a huge finite t
         self.t_zero = float(np.max((np.log(np.abs(coef)) - math.log(_NEGLIGIBLE) + 1.0)
                                    / z.real))
-        self.r1 = r1.reshape(2 * len(z), -1)
+        self.r1 = r1.reshape(2 * (N + 1), -1)
 
     def samples(self, ts) -> list:
         ts = list(ts)
@@ -363,9 +355,11 @@ class _Plan:
             tile = self.r1[:, c:c + width]
             np.matmul(e, tile.copy() if copy else tile, out=values[:, :, c:c + width])
         values = values.reshape(-1, dim)[:nt]
-        values *= self.scale
+        values *= self.h
+        values = self.op.from_modal(values)
+        np.ldexp(values, self.exponent, out=values)
         return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
-                for t, v in zip(ts, self.op.from_modal(values))]
+                for t, v in zip(ts, values)]
 
 
 def solve_at(problem: NonlocalProblem, config: SolverConfig, t: float) -> SolutionSample:

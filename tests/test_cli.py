@@ -465,15 +465,14 @@ class TestMain:
             assert capsys.readouterr().err.startswith("config error: key N: the node buffer")
             return True
 
-        for n, N, use_symmetry in itertools.product((4, 16), (2**10 - 1, 2**12 - 1),
-                                                    (True, False)):
-            K = N + 1 if use_symmetry else 2 * N + 1
-            fits = (2**30 - K * integral_bytes(n, 1 / math.cos(math.pi / 4))) // (16 * (N + 1))
+        for n, N in itertools.product((4, 16), (2**10 - 1, 2**12 - 1)):
+            fits = (2**30 // (N + 1) - integral_bytes(n, 1 / math.cos(math.pi / 4))) // 16
             for dim in (fits - 1, fits, fits + 1):
-                refused = plan_refuses(n, N, dim, use_symmetry)
+                refused = solve_refuses(n, N, dim)
                 assert refused == (dim > fits)
-                if use_symmetry:  # the CLI builds folded plans only
-                    assert solve_refuses(n, N, dim) == refused
+                # the CLI builds folded plans only; a full sum has the same N+1 nodes
+                for use_symmetry in (True, False):
+                    assert plan_refuses(n, N, dim, use_symmetry) == refused
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.cfg")]) == 2

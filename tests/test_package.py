@@ -65,16 +65,30 @@ def test_benchmark_traced_names_resolve():
     assert absent == []
 
 
-def test_traced_benchmark_smoke(tmp_path):
-    # one traced pass of every workload: each request's output is checked,
-    # and a request fails if its traced resolvent count is not N+1 or 2N+1;
-    # run on a copy, so that spans and work directories stay out of the tree
+def _copy_benchmark(tmp_path):
+    """Copy the benchmark, the package source and BENCHMARK.json to tmp_path,
+    so that the spans and work directories of a run stay out of the tree."""
     if not (ROOT / "perfbench").exists():
         pytest.skip("perfbench/ is absent")
     for name in ("perfbench", "src"):
         shutil.copytree(ROOT / name, tmp_path / name,
                         ignore=shutil.ignore_patterns("__pycache__"))
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+
+
+def test_benchmark_selftest(tmp_path):
+    # the benchmark's own checks: every metric of BENCHMARK.json is emitted
+    # with its unit, and corrupted results are flagged
+    _copy_benchmark(tmp_path)
+    proc = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=tmp_path,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_benchmark_smoke(tmp_path):
+    # one traced pass of every workload: each request's output is checked,
+    # and a request fails if its traced resolvent count is not N+1 or 2N+1
+    _copy_benchmark(tmp_path)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--smoke",
          "--trace", "1", "--seed", "1", "--seconds", "1"],

@@ -33,6 +33,7 @@ from nonlocalsolver import (
     solve_at,
     solve_many,
 )
+from nonlocalsolver import solver
 from nonlocalsolver.contour import contour_point
 from nonlocalsolver.quadrature import gauss_legendre, integral_bytes, nonlocal_integral
 from nonlocalsolver.solver import (
@@ -216,7 +217,8 @@ class TestSolveAt:
             lams = np.sort(rng.uniform(1.0, 20.0, dims))
             u0 = rng.uniform(-1, 1, dims)
             cases.append((DiagonalOperator(lams), u0, float(rng.uniform(0.1, 1.0) / lams[-1])))
-        for op in (Laplacian1D(40), SineSpectralOperator(50)):
+        for op in (Laplacian1D(40), SineSpectralOperator(50),
+                   _DenseSymmetric([[3.0, 1.0], [1.0, 5.0]])):
             cases.append((op, rng.uniform(-1, 1, op.dim), 0.02))
         for op, u0, t in cases:
             problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(), u0=u0)
@@ -225,18 +227,34 @@ class TestSolveAt:
             for sample in (folded, full):
                 assert sample.value.dtype == np.float64
                 assert sample.value.shape == (op.dim,)
-            denom = np.max(np.abs(full.value))
-            assert np.max(np.abs(folded.value - full.value)) <= 1e-15 * denom
+            if isinstance(op, _DenseSymmetric):
+                # a LAPACK solve at conj(z) need not be the conjugate of the
+                # solve at z bit for bit
+                denom = np.max(np.abs(full.value))
+                assert np.max(np.abs(folded.value - full.value)) <= 1e-15 * denom
+            else:
+                # both sums share their nodes and coefficients, and a built-in
+                # operator's solve at conj(z) is the conjugate of its solve at z
+                assert np.array_equal(folded.value, full.value)
 
-    def test_fold_halves_resolvent_calls(self):
+    def test_fold_halves_resolvent_calls(self, monkeypatch):
+        # the full sum adds N conjugate solves, and nothing else: its I(z)
+        # stage sees the same N+1 nodes as the folded one's
         N = 20
+        nodes = []
+
+        def recorded(rule, w, T, z):
+            nodes.append(len(z))
+            return nonlocal_integral(rule, w, T, z)
+
+        monkeypatch.setattr(solver, "nonlocal_integral", recorded)
         for problem in (_scalar_problem(lam=2.0), _laplacian_problem(50)):
-            problem.op.resolvent_calls = 0
-            solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=True), 0.5)
-            assert problem.op.resolvent_calls == N + 1
-            problem.op.resolvent_calls = 0
-            solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=False), 0.5)
-            assert problem.op.resolvent_calls == 2 * N + 1
+            for use_symmetry, calls in ((True, N + 1), (False, 2 * N + 1)):
+                problem.op.resolvent_calls = 0
+                nodes.clear()
+                solve_at(problem, SolverConfig(n=4, N=N, use_symmetry=use_symmetry), 0.5)
+                assert problem.op.resolvent_calls == calls
+                assert nodes == [N + 1]
 
     def test_grid_metadata(self):
         problem = _scalar_problem()
@@ -357,7 +375,8 @@ class TestSolveMany:
                 tile = plan.r1[:, c:c + width]
                 for b in range(0, len(ts), _BLOCK):
                     ref[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
-            ref *= plan.scale
+            ref *= plan.h
+            np.ldexp(ref, plan.exponent, out=ref)
             assert np.array_equal(np.array([s.value for s in plan.samples(ts)]), ref)
 
     def test_no_times_gives_empty_list(self):
@@ -528,12 +547,15 @@ def test_custom_operator_matches_its_eigenbasis():
     lambda: _DenseSymmetric([[3.0, 1.0], [1.0, 5.0]]),
 ], ids=["diagonal", "laplacian", "dense"])
 def test_full_sum_fold_matches_out_of_place_fold(make_op, N):
-    # the plan folds each -k node into row k as it is solved; the result must
-    # be the average of the two rows taken after all 2N+1 solves, bit for bit
+    # the full sum has the folded sum's N+1 nodes and coefficients, and solves
+    # conj(z_k) for k >= 1 after them; folding each of those into row k as it
+    # is solved must give the average of the two rows taken after all 2N+1
+    # solves, bit for bit
     op = make_op()
     problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(),
                               u0=np.linspace(-1.0, 0.7, op.dim))
     config = SolverConfig(n=8, N=N, step=CalibratedStep(), use_symmetry=False)
+    folded = _Plan(problem, SolverConfig(n=8, N=N, step=CalibratedStep()))
     solved, apply = [], op.modified_resolvent_apply
 
     def record(z, c):
@@ -545,16 +567,19 @@ def test_full_sum_fold_matches_out_of_place_fold(make_op, N):
     plan = _Plan(problem, config)
     assert len(solved) == 2 * N + 1
     z = np.array([zk for zk, _ in solved])
+    assert np.array_equal(z[N + 1:], z[:N].conj())
     r1 = np.array([[r.real, r.imag] for _, r in solved])
     contour = make_contour(op.spectral)
-    dz = contour_point(contour, np.arange(N, -N - 1, -1) * plan.h).dz
-    coef = dz / (2j * math.pi * (1.0 + nonlocal_integral(gauss_legendre(8), problem.w,
-                                                         problem.T, z)))
-    z, coef = ((a[:N + 1] + a[N:][::-1].conj()) / 2 for a in (z, coef))
+    nodes = contour_point(contour, np.arange(N, -1, -1) * plan.h)
+    coef = nodes.dz / (2j * math.pi * (1.0 + nonlocal_integral(gauss_legendre(8), problem.w,
+                                                               problem.T, nodes.z)))
     coef[:-1] *= 2.0
-    r1 = (r1[:N + 1] + r1[N:][::-1] * np.array([[1.0], [-1.0]])) / 2
+    # row k >= 1 pairs with the solve at conj(z_k), and the k = 0 row with itself
+    mirror = np.concatenate((r1[N + 1:], r1[N:N + 1]))
+    r1 = (r1[:N + 1] + mirror * np.array([[1.0], [-1.0]])) / 2
     # compared as bits, so that the sign of a zero counts too
-    for got, want in ((plan.r1, r1.reshape(2 * (N + 1), -1)), (plan.z, z), (plan.coef, coef)):
+    for got, want in ((plan.r1, r1.reshape(2 * (N + 1), -1)), (plan.z, nodes.z),
+                      (plan.z, folded.z), (plan.coef, coef), (plan.coef, folded.coef)):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
@@ -623,22 +648,19 @@ class TestNodeBufferBudget:
             "refused: the node buffer of 2000001 nodes x dim 1 with its I(z) stage needs")
 
     def test_budget_arithmetic_at_the_limit(self):
-        # N+1 buffer rows of 2*dim reals in both settings, plus the I(z) stage
-        # of each of the K = N+1 or 2N+1 nodes, may take 2^30 bytes and no
-        # more; at n = 16 and phi = 0 the stage of one node is 3264 bytes
+        # the N+1 nodes of either setting, each a buffer row of 2*dim reals
+        # and an I(z) stage, may take 2^30 bytes and no more; at n = 16 and
+        # phi = 0 the stage of one node is 3264 bytes
         assert integral_bytes(16, 1 / math.cos(math.pi / 4)) == 3264
-        for N, dim, use_symmetry, K in ((2**10 - 1, 2**16 - 204, True, 2**10),
-                                        (3, 16776859, False, 7)):
-            assert (N + 1) * 2 * dim * 8 + K * 3264 == 2**30
-            check_node_buffer(16, N, dim, use_symmetry)
-            message = rf"of {K} nodes x dim {dim + 1} with its I\(z\) stage needs 1 GiB"
+        for N, dim in ((2**10 - 1, 2**16 - 204), (3, 2**24 - 204)):
+            assert (N + 1) * (2 * dim * 8 + 3264) == 2**30
+            check_node_buffer(16, N, dim)
+            message = rf"of {N + 1} nodes x dim {dim + 1} with its I\(z\) stage needs 1 GiB"
             with pytest.raises(ConfigError, match=message):
-                check_node_buffer(16, N, dim + 1, use_symmetry)
+                check_node_buffer(16, N, dim + 1)
             # a sector of half-angle phi > 0 widens the hyperbola, and its stage
-            with pytest.raises(ConfigError, match=f"of {K} nodes x dim {dim} "):
-                check_node_buffer(16, N, dim, use_symmetry, phi=0.5)
-        # a full sum whose 2N+1 nodes would not fit as buffer rows fits as N+1
-        check_node_buffer(16, 2, 2**24, use_symmetry=False)
+            with pytest.raises(ConfigError, match=f"of {N + 1} nodes x dim {dim} "):
+                check_node_buffer(16, N, dim, phi=0.5)
 
     def test_cli_refuses_huge_m(self, tmp_path):
         cfg = tmp_path / "big.cfg"
@@ -651,24 +673,31 @@ class TestNodeBufferBudget:
 
 class TestExtremeData:
     """u0 near the float max or subnormal is solved as 2^-k u0, with k from
-    frexp of its largest entry, and scaled back in the product with h."""
+    frexp of its largest entry, and scaled back by 2^k after from_modal."""
 
     @staticmethod
     def _solve(op, u0, t=0.5):
         problem = NonlocalProblem(op=op, T=1.0, w=WeightFunction.cos(), u0=u0)
         return solve_at(problem, SolverConfig(), t).value
 
-    @pytest.mark.parametrize("op, u0", [
-        (DiagonalOperator([2.0, 9.0]), [1.7e308, -1.7e308]),
-        (Laplacian1D(50), [1.7e308] * 50),
-        (DiagonalOperator([2.0, 9.0]), [1e-320, 5e-324]),
-    ], ids=["diagonal-huge", "laplacian-huge", "diagonal-subnormal"])
-    def test_value_is_the_scaled_solve(self, op, u0):
+    # at t <= 0.2 the unnormalized sine transform in Laplacian1D.from_modal
+    # would overflow if 2^k went on before it
+    @pytest.mark.parametrize("op, u0, t", [
+        (DiagonalOperator([2.0, 9.0]), [1.7e308, -1.7e308], 0.5),
+        (Laplacian1D(50), [1.7e308] * 50, 0.5),
+        (DiagonalOperator([2.0, 9.0]), [1e-320, 5e-324], 0.5),
+        (Laplacian1D(50), [1.7e308] * 50, 0.0),
+        (Laplacian1D(50), [1.7e308] * 50, 0.1),
+        (Laplacian1D(50), [1.7e308] * 50, 0.15),
+        (Laplacian1D(50), [1.7e308] * 50, 0.2),
+    ], ids=["diagonal-huge", "laplacian-huge", "diagonal-subnormal", "laplacian-huge-t0",
+            "laplacian-huge-t0.1", "laplacian-huge-t0.15", "laplacian-huge-t0.2"])
+    def test_value_is_the_scaled_solve(self, op, u0, t):
         u0 = np.asarray(u0)
         k = math.frexp(np.max(np.abs(u0)))[1]
-        value = self._solve(op, u0)
+        value = self._solve(op, u0, t)
         assert np.isfinite(value).all() and value[0] != 0
-        scaled = np.ldexp(self._solve(op, np.ldexp(u0, -k)), k)
+        scaled = np.ldexp(self._solve(op, np.ldexp(u0, -k), t), k)
         assert np.array_equal(value.view(np.uint64), scaled.view(np.uint64))
 
     def test_cli_solves_huge_u0(self, tmp_path):
