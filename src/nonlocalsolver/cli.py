@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -46,13 +47,12 @@ BENCH2_MODES = 200
 N_HELP = ("Gauss order: n+1 points per panel of the I(z) rule; the panel count "
           "is chosen per contour node")
 
-# every config key with its default: _REQUIRED marks the keys a config must
-# give, None the optional keys that have no default
+# every config key and its default (_REQUIRED: a config must give it; None: no default)
 _REQUIRED = object()
 _KEYS = {
     "operator": _REQUIRED, "T": _REQUIRED, "weight": _REQUIRED, "u0": _REQUIRED,
-    "t": _REQUIRED, "m": None, "modes": None, "out": None, "n": "16", "N": "64",
-    "alpha": "0.5", "rho1": "0", "x": "0.5", "step_mode": "uniform",
+    "t": _REQUIRED, "out": None, "n": "16", "N": "64", "rho1": "0", "x": "0.5",
+    "step_mode": "uniform",
 }
 
 
@@ -99,13 +99,10 @@ class RunConfig:
     """Validated contents of a config file."""
 
     def __init__(self, raw):
-        self.raw = raw
         self.operator = raw["operator"]
         self.n = _at("n", _int, raw["n"], low=0, high=MAX_GAUSS_ORDER)
         self.N = _at("N", _int, raw["N"], low=0)
         self.T = _at("T", _real, raw["T"], positive=True)
-        self.alpha = _at("alpha", _real, raw["alpha"])
-        uniform = _at("alpha", UniformStep, self.alpha)  # refused in every step mode
         self.rho1 = _at("rho1", _real, raw["rho1"])
         _at("rho1", SolverConfig, rho1=self.rho1)
         self.x = _at("x", _real, raw["x"], within=(0, 1))  # the problem lives on [0, 1]
@@ -113,7 +110,7 @@ class RunConfig:
         self.out = raw["out"]
         self.weight = _at("weight", _parse_weight, raw["weight"])
         self.ts = _at("t", _list, raw["t"], lambda p: _real(p, within=(0, math.inf)), "time")
-        self.step = _at("step_mode", _parse_step, raw["step_mode"], uniform, self.ts)
+        self.step = _at("step_mode", _parse_step, raw["step_mode"], self.ts)
 
 
 def _parse_weight(spec):
@@ -130,9 +127,11 @@ def _parse_weight(spec):
     )
 
 
-def _parse_step(spec, uniform, ts):
+def _parse_step(spec, ts):
     if spec == "uniform":
-        return uniform
+        return UniformStep()
+    if spec.startswith("uniform:"):
+        return UniformStep(_real(spec[len("uniform:"):]))
     if spec == "window":  # fitted to the earliest time; t = 0 lies outside every window
         t_min = min((t for t in ts if 0 < t < math.inf), default=None)
         if t_min is None:
@@ -143,7 +142,7 @@ def _parse_step(spec, uniform, ts):
     if spec.startswith("fixed:"):
         return FixedStep(h=_real(spec[len("fixed:"):]))
     raise ValueError(
-        f"unknown mode {spec!r} (expected uniform, window, calibrated or fixed:H)"
+        f"unknown mode {spec!r} (expected uniform[:ALPHA], window, calibrated or fixed:H)"
     )
 
 
@@ -169,34 +168,23 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig({**_KEYS, **given})
 
 
-# the operators built from a size, each with the one key that holds it
-_SIZED = {"sine_spectral": ("modes", SineSpectralOperator), "laplacian1d": ("m", Laplacian1D)}
-
-
 def _build_operator(rc: RunConfig):
-    spec = rc.operator
-    kind = spec.partition(":")[0]
-    key, make = _SIZED.get(spec, (None, None))
-    if key is None and not spec.startswith("diagonal:"):
-        raise ConfigError(
-            f"key operator: unknown kind {spec!r} "
-            "(expected sine_spectral, laplacian1d or diagonal:l1,l2,...)"
-        )
-    for k in ("m", "modes"):
-        if k != key and rc.raw[k] is not None:
-            raise ConfigError(f"key {k}: not read by operator {kind}")
-    if key is None:  # sized by its list of eigenvalues
-        lams = spec[len("diagonal:"):].split(",")
-        key, size = "operator", len(lams)
-        make = lambda _: DiagonalOperator([_real(p) for p in lams])
-    elif rc.raw[key] is None:
-        raise ConfigError(f"missing required key {key!r} for operator {kind}")
+    kind, _, arg = rc.operator.partition(":")
+    if kind == "diagonal":  # sized by its list of eigenvalues
+        lams = arg.split(",")
+        size, make = len(lams), lambda _: DiagonalOperator([_real(p) for p in lams])
+    elif kind in ("laplacian1d", "sine_spectral"):  # sized after the colon
+        size = _at("operator", _int, arg)
+        make = Laplacian1D if kind == "laplacian1d" else SineSpectralOperator
     else:
-        size = _at(key, _int, rc.raw[key])
-    # refused before anything is allocated: one node's row under the size key, all under N
-    _at(key, check_node_buffer, rc.n, 0, size)
+        raise ConfigError(
+            f"key operator: unknown kind {rc.operator!r} "
+            "(expected sine_spectral:MODES, laplacian1d:M or diagonal:l1,l2,...)"
+        )
+    # refused before anything is allocated: one node's row under operator, all under N
+    _at("operator", check_node_buffer, rc.n, 0, size)
     _at("N", check_node_buffer, rc.n, rc.N, size)
-    return _at(key, make, size)
+    return _at("operator", make, size)
 
 
 def _build_u0(spec, op):
@@ -317,9 +305,8 @@ def run_solve(rc: RunConfig):
     problem = _at("u0", lambda: NonlocalProblem(op=op, T=rc.T, w=rc.weight,
                                                 u0=_build_u0(rc.u0_spec, op)))
     config = SolverConfig(n=rc.n, N=rc.N, rho1=rc.rho1, step=rc.step)
-    samples = solve_many(problem, config, rc.ts)
     rows = []
-    for sample in samples:
+    for sample in solve_many(problem, config, rc.ts):
         value, x = _sample_value(op, sample, rc.x)
         rows.append((rc.n, rc.N, sample.t, x, value, None))
     return rows
@@ -366,34 +353,39 @@ def _main(argv):
         rc = parse_config(text)
         rows = run_solve(rc)
         emit_csv(rows, args.out if args.out is not None else rc.out)
-    elif args.command == "reproduce":
+    else:  # reproduce one N, or converge over a list of them
         n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
-        N = _at("--N", _int, args.N, low=0)
-        _at("--N", _check_benchmark_plans, args.example, n, N)
-        rows = run_reproduction(args.example, n, N)
-        emit_csv(rows, args.out)
-    else:
-        n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
-        N_list = _at("--N-list", _list, args.N_list, lambda p: _int(p, low=0), "N")
+        if args.command == "reproduce":
+            flag, N_list = "--N", [_at("--N", _int, args.N, low=0)]
+        else:
+            flag = "--N-list"
+            N_list = _at(flag, _list, args.N_list, lambda p: _int(p, low=0), "N")
         for N in N_list:  # every plan is checked before the first solve
-            _at("--N-list", _check_benchmark_plans, args.example, n, N)
-        rows = run_convergence(n, N_list)
+            _at(flag, _check_benchmark_plans, args.example, n, N)
+        rows = [run_reproduction(args.example, n, N)[0] for N in N_list]
         emit_csv(rows, args.out)
     return 0
 
 
 def main(argv=None):
-    try:
-        return _main(argv)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 2
-    except ExistenceError as e:
-        print(f"existence condition violated: {e}", file=sys.stderr)
-        return 3
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return 4
+    """Return the exit code of one command; its warnings follow its output on stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        # appended, so a filter already set (python -W, a test's) still applies
+        warnings.simplefilter("always", append=True)
+        try:
+            return _main(argv)
+        except ConfigError as e:
+            print(f"config error: {e}", file=sys.stderr)
+            return 2
+        except ExistenceError as e:
+            print(f"existence condition violated: {e}", file=sys.stderr)
+            return 3
+        except NumericalError as e:
+            print(f"numerical failure: {e}", file=sys.stderr)
+            return 4
+        finally:  # every call shows its own warnings, once each
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

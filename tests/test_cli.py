@@ -2,6 +2,7 @@ import csv
 import io
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -48,8 +49,7 @@ class TestParseConfig:
         assert rc.weight.kind == "cos"
         assert rc.ts == [0.5]
         assert rc.n == 16 and rc.N == 64  # defaults
-        assert rc.alpha == 0.5 and rc.rho1 == 0.0 and rc.x == 0.5
-        assert isinstance(rc.step, UniformStep)
+        assert rc.step == UniformStep(0.5) and rc.rho1 == 0.0 and rc.x == 0.5
 
     def test_comments_and_blank_lines(self):
         rc = parse_config("# heading\n\n" + BASE + "n = 8  # trailing comment\n")
@@ -70,6 +70,7 @@ class TestParseConfig:
     def test_step_modes(self):
         assert isinstance(parse_config(BASE + "step_mode = calibrated\n").step, CalibratedStep)
         assert isinstance(parse_config(BASE + "step_mode = fixed:0.3\n").step, FixedStep)
+        assert parse_config(BASE + "step_mode = uniform:0.3\n").step == UniformStep(0.3)
         # the window starts at the earliest time in (0, inf) of key t
         rc = parse_config(BASE.replace("t = 0.5", "t = 0, 2, 0.25, inf") + "step_mode = window\n")
         assert rc.step == WindowStep(0.25)
@@ -104,7 +105,7 @@ class TestParseConfig:
 
     def test_bad_alpha(self):
         with pytest.raises(ConfigError, match="alpha"):
-            parse_config(BASE + "alpha = 1.5\n")
+            parse_config(BASE + "step_mode = uniform:1.5\n")
 
     def test_negative_time(self):
         for ts in ("-1", "nan", "0.5, nan"):
@@ -183,7 +184,7 @@ class TestMain:
 
     def test_solve_laplacian_profile(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
-        cfg.write_text("operator = laplacian1d\nm = 40\nT = 1\nweight = const:0\n"
+        cfg.write_text("operator = laplacian1d:40\nT = 1\nweight = const:0\n"
                        "u0 = sine:1\nt = 0.05\nx = 0.5\nstep_mode = calibrated\n")
         assert main(["solve", "--config", str(cfg)]) == 0
         value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
@@ -191,7 +192,7 @@ class TestMain:
         op_lam1 = 4 * 41**2 * math.sin(math.pi / (2 * 41)) ** 2
         assert value == pytest.approx(math.exp(-op_lam1 * 0.05), rel=5e-3)
 
-    @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 50", "laplacian1d\nm = 49"],
+    @pytest.mark.parametrize("operator", ["sine_spectral:50", "laplacian1d:49"],
                              ids=["sine_spectral", "laplacian1d"])
     def test_solve_poly_profile_matches_oracle(self, tmp_path, capsys, operator):
         # example-2 data; x = 0.4 is the 20th point of the m = 49 grid, where
@@ -317,7 +318,7 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: key weight" in err and err.count("key ") == 1
 
-    @pytest.mark.parametrize("operator", ["sine_spectral\nmodes = 8", "laplacian1d\nm = 8"],
+    @pytest.mark.parametrize("operator", ["sine_spectral:8", "laplacian1d:8"],
                              ids=["sine_spectral", "laplacian1d"])
     def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):
         # outside [0, 1] the grid's boundary zeros or the sine series'
@@ -330,9 +331,9 @@ class TestMain:
             assert "config error: key x" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, extra, key", [
-        ("sine_spectral", "modes = abc\n", "modes"),
-        ("laplacian1d", "m = abc\n", "m"),
-        ("diagonal:1", "alpha = abc\n", "alpha"),
+        ("sine_spectral:abc", "", "operator"),
+        ("laplacian1d:abc", "", "operator"),
+        ("diagonal:1", "step_mode = uniform:abc\n", "step_mode"),
     ], ids=["modes", "m", "alpha"])
     def test_malformed_number_exit_code(self, tmp_path, capsys, operator, extra, key):
         cfg = tmp_path / "bad.cfg"
@@ -342,28 +343,31 @@ class TestMain:
         assert f"config error: key {key}: expected" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, size, key", [
-        ("sine_spectral", "m = 8", "m"),
-        ("laplacian1d", "modes = 8", "modes"),
+        ("sine_spectral:8", "m = 8", "m"),
+        ("laplacian1d:8", "modes = 8", "modes"),
         ("diagonal:1", "m = 8", "m"),
         ("diagonal:1", "modes = 8", "modes"),
-    ], ids=["sine-m", "laplacian-modes", "diagonal-m", "diagonal-modes"])
+        ("diagonal:1", "alpha = 0.5", "alpha"),
+    ], ids=["sine-m", "laplacian-modes", "diagonal-m", "diagonal-modes", "diagonal-alpha"])
     def test_size_key_not_read_exit_code(self, tmp_path, capsys, operator, size, key):
-        # each sized operator reads one key; a key it does not read is refused
+        # the size rides on the operator kind and alpha on step_mode = uniform:ALPHA;
+        # the keys that once held them are refused like any unknown key
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", operator) + size + "\n")
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
-        assert f"config error: key {key}: not read by operator" in err and err.count("key ") == 1
+        assert err.startswith(f"config error: line 6: unknown key {key!r}")
+        assert err.count("key ") == 1
 
-    @pytest.mark.parametrize("operator, size, message", [
-        ("laplacian1d", "m = 1\n", "config error: key m: need"),
-        ("sine_spectral", "modes = 0\n", "config error: key modes: need"),
-        ("laplacian1d", "", "config error: missing required key 'm'"),
-        ("sine_spectral", "", "config error: missing required key 'modes'"),
+    @pytest.mark.parametrize("operator, message", [
+        ("laplacian1d:1", "config error: key operator: need"),
+        ("sine_spectral:0", "config error: key operator: need"),
+        ("laplacian1d", "config error: key operator: expected an integer"),
+        ("sine_spectral", "config error: key operator: expected an integer"),
     ], ids=["m1", "modes0", "m-missing", "modes-missing"])
-    def test_size_refusal_exit_code(self, tmp_path, capsys, operator, size, message):
+    def test_size_refusal_exit_code(self, tmp_path, capsys, operator, message):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", operator) + size)
+        cfg.write_text(BASE.replace("diagonal:1", operator))
         assert main(["solve", "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("key ") <= 1
@@ -407,8 +411,8 @@ class TestMain:
     def test_solve_refusals_name_one_key_and_build_nothing(self, tmp_path, capsys,
                                                              monkeypatch):
         # solve sizes its plan, I(z) stage included, before any operator or
-        # _Plan exists: under the size key when one node's row alone is over
-        # the budget, under N otherwise, for every operator kind
+        # _Plan exists: under operator when one node's row alone is over the
+        # budget, under N otherwise, for every operator kind
         built = []
         monkeypatch.setattr(solver, "_Plan", lambda *a: built.append(a))
         for cls in (DiagonalOperator, Laplacian1D, SineSpectralOperator):
@@ -417,10 +421,10 @@ class TestMain:
         for body, key, nodes in (
                 ("operator = diagonal:2,5\nN = 400000\nstep_mode = fixed:1e-4\n", "N",
                  "400001 nodes x dim 2 "),
-                ("operator = sine_spectral\nmodes = 2000\nN = 40000\n", "N",
+                ("operator = sine_spectral:2000\nN = 40000\n", "N",
                  "40001 nodes x dim 2000 "),
                 ("operator = diagonal:2,5\nN = 1000000\n", "N", "1000001 nodes x dim 2 "),
-                ("operator = laplacian1d\nm = 1000000000\n", "m",
+                ("operator = laplacian1d:1000000000\n", "operator",
                  "1 nodes x dim 1000000000 ")):
             cfg.write_text(body + "T = 1\nweight = cos\nu0 = sine:1\nt = 0.5\n")
             assert main(["solve", "--config", str(cfg)]) == 2
@@ -453,7 +457,7 @@ class TestMain:
 
         def solve_refuses(n, N, dim):
             cfg = tmp_path / "p.cfg"
-            cfg.write_text(f"operator = sine_spectral\nmodes = {dim}\nT = 1\n"
+            cfg.write_text(f"operator = sine_spectral:{dim}\nT = 1\n"
                            f"weight = const:0\nu0 = sine:1\nt = 0.5\nn = {n}\nN = {N}\n")
             with monkeypatch.context() as m:
                 m.setattr(solver, "_Plan", stop)
@@ -528,3 +532,20 @@ class TestInProcessReuse:
         conv = capsys.readouterr().out
         assert main(["converge", "--n", "8", "--N-list", "4"]) == 0
         assert capsys.readouterr().out == conv
+
+    def test_warning_shown_on_every_call(self, capsys):
+        # w = cos with T = pi/2 has sup|w| = 1 > 1/T; under Python's default
+        # filters each call prints that warning once, after its output
+        argv = ["reproduce", "--example", "1", "--n", "8", "--N", "16"]
+        with warnings.catch_warnings():
+            warnings.resetwarnings()
+            for _ in range(2):
+                assert main(argv) == 0
+                out, err = capsys.readouterr()
+                assert out.startswith("n,N,t,x,value,abs_error\n")
+                assert err.startswith("warning: sup|w| exceeds 1/T: ")
+                assert err.count("warning: ") == 1 and ".py:" not in err
+            # a filter set before the call still decides
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="sup"):
+                main(argv)

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 from nonlocalsolver import (
+    ConfigError,
+    DiagonalOperator,
+    NonlocalProblem,
+    SolverConfig,
     SpectralBounds,
+    WeightFunction,
     contour_point,
     make_contour,
     make_self_adjoint_contour,
+    solve_at,
 )
 from nonlocalsolver.contour import Contour
 
@@ -81,6 +87,19 @@ def test_make_contour_rejects_bad_rho1():
         make_contour(b, rho1=1.0)
     with pytest.raises(ValueError):
         make_contour(b, rho1=-0.5)
+
+
+def test_degenerate_strip_refused():
+    # rho1 one ulp below rho0 puts arccos(rho1 / r) a rounding below phi
+    bounds = SpectralBounds(1.0, 0.039899665551839464)
+    rho1 = math.nextafter(1.0, 0.0)
+    with pytest.raises(ValueError, match="degenerate strip"):
+        make_contour(bounds, rho1)
+    op = DiagonalOperator([1.0, 2.0])
+    op.spectral = bounds
+    problem = NonlocalProblem(op=op, T=1.0, w=WeightFunction.zero(), u0=[1.0, 1.0])
+    with pytest.raises(ConfigError, match="degenerate strip"):
+        solve_at(problem, SolverConfig(rho1=rho1), 0.5)
 
 
 def test_strip_width_positive_for_valid_inputs():

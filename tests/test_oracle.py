@@ -6,6 +6,7 @@ import pytest
 from nonlocalsolver import (
     DiagonalOperator,
     Laplacian1D,
+    NumericalError,
     SectorialOperator,
     SineSpectralOperator,
     SpectralBounds,
@@ -13,6 +14,7 @@ from nonlocalsolver import (
     poly_x2_1mx_coefficients,
     reference_solution,
 )
+from nonlocalsolver import oracle
 from nonlocalsolver.oracle import weight_laplace_integral
 
 
@@ -126,6 +128,14 @@ class TestReferenceSolution:
 
         with pytest.raises(TypeError):
             reference_solution(Dense(), WeightFunction.zero(), 1.0, np.ones(2), 0.5)
+
+    def test_closed_form_disagreement_refused(self, monkeypatch):
+        # for w = cos the adaptive J is checked against its closed form
+        adaptive = oracle.weight_laplace_integral
+        monkeypatch.setattr(oracle, "weight_laplace_integral",
+                            lambda w, lam, T: adaptive(w, lam, T) + 1e-10)
+        with pytest.raises(NumericalError, match="closed form"):
+            reference_solution(DiagonalOperator([1.0]), WeightFunction.cos(), 1.0, [1.0], 0.5)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

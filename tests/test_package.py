@@ -47,8 +47,28 @@ def test_readme_config_example_runs():
     assert "window" in modes
     for mode in modes:
         rc = cli.parse_config(re.sub(r"^step_mode = .*$", f"step_mode = {mode}",
-                                     text, flags=re.M).replace("fixed:H", "fixed:0.25"))
+                                     text, flags=re.M).replace("fixed:H", "fixed:0.25")
+                              .replace("uniform:ALPHA", "uniform:0.3"))
         assert all(np.isfinite(row[4]) for row in cli.run_solve(rc))
+
+
+def test_readme_command_lines_run(tmp_path, capsys):
+    # each command line of the README runs, solve on the README's config
+    # block, with the files it names and its optional --out in tmp_path
+    text = README.read_text()
+    (tmp_path / "problem.cfg").write_text(re.search(r"```ini\n(.*?)```", text, re.S).group(1))
+    lines = re.search(r"```sh\n(nonlocalsolver .*?)```", text, re.S).group(1).splitlines()
+    assert [line.split()[1] for line in lines] == ["solve", "reproduce", "converge"]
+    for line in lines:
+        argv = [str(tmp_path / arg) if arg.endswith((".cfg", ".csv")) else arg
+                for arg in line.replace("[", "").replace("]", "").split()[1:]]
+        (tmp_path / "out.csv").unlink(missing_ok=True)
+        assert cli.main(argv) == 0, line
+        out = capsys.readouterr().out
+        if "--out" in argv:
+            assert out == ""
+            out = (tmp_path / "out.csv").read_text()
+        assert out.startswith("n,N,t,x,value,abs_error\n"), line
 
 
 def test_benchmark_traced_names_resolve():

@@ -664,11 +664,11 @@ class TestNodeBufferBudget:
 
     def test_cli_refuses_huge_m(self, tmp_path):
         cfg = tmp_path / "big.cfg"
-        cfg.write_text("operator = laplacian1d\nm = 1000000000\nT = 1\nweight = cos\n"
+        cfg.write_text("operator = laplacian1d:1000000000\nT = 1\nweight = cos\n"
                        "u0 = sine:1\nt = 0.5\n")
         r = _run_capped(["-m", "nonlocalsolver.cli", "solve", "--config", str(cfg)])
         assert r.returncode == 2, r.stderr
-        assert r.stderr.startswith("config error: key m: the node buffer")
+        assert r.stderr.startswith("config error: key operator: the node buffer")
 
 
 class TestExtremeData:
