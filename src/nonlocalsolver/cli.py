@@ -35,9 +35,11 @@ from .solver import (
     solve_many,
 )
 
-# benchmark 1: w = cos(s), T = pi/2, A = -d2/dx2, exact solution
-# e^{-pi^2 t} sin(pi x); the initial-data coefficient that produces it is
-# (1 + J) with J = (pi^2 + e^{-pi^3/2}) / (1 + pi^4)
+# both benchmarks: T = pi/2, A = -d2/dx2 in sine modes; the row of benchmark k is
+# u(t, x) at t = BENCH_T and x = BENCH_X[k]
+BENCH_T, BENCH_X = 1.0, {1: 0.5, 2: 0.4}
+# benchmark 1: w = cos(s), exact solution e^{-pi^2 t} sin(pi x); the initial-data
+# coefficient that produces it is (1 + J) with J = (pi^2 + e^{-pi^3/2}) / (1 + pi^4)
 BENCH1_C0 = (1.0 + math.pi**4 + math.pi**2 + math.exp(-math.pi**3 / 2)) / (
     1.0 + math.pi**4
 )
@@ -47,12 +49,12 @@ BENCH2_MODES = 200
 N_HELP = ("Gauss order: n+1 points per panel of the I(z) rule; the panel count "
           "is chosen per contour node")
 
-# every config key and its default (_REQUIRED: a config must give it; None: no default)
+# every config key and its default (_REQUIRED: a config must give it)
 _REQUIRED = object()
 _KEYS = {
     "operator": _REQUIRED, "T": _REQUIRED, "weight": _REQUIRED, "u0": _REQUIRED,
-    "t": _REQUIRED, "out": None, "n": "16", "N": "64", "rho1": "0", "x": "0.5",
-    "step_mode": "uniform",
+    "t": _REQUIRED, "n": str(SolverConfig.n), "N": str(SolverConfig.N),
+    "rho1": str(SolverConfig.rho1), "x": "0.5", "step_mode": "uniform",
 }
 
 
@@ -107,7 +109,6 @@ class RunConfig:
         _at("rho1", SolverConfig, rho1=self.rho1)
         self.x = _at("x", _real, raw["x"], within=(0, 1))  # the problem lives on [0, 1]
         self.u0_spec = raw["u0"]
-        self.out = raw["out"]
         self.weight = _at("weight", _parse_weight, raw["weight"])
         self.ts = _at("t", _list, raw["t"], lambda p: _real(p, within=(0, math.inf)), "time")
         self.step = _at("step_mode", _parse_step, raw["step_mode"], self.ts)
@@ -249,54 +250,44 @@ def emit_csv(rows, path=None):
         raise ConfigError(f"cannot write {path!r}: {e}")
 
 
-def _benchmark_value(w, u0, n, N, t, x):
-    """u(t, x) of a benchmark: A = -d2/dx2 in len(u0) sine modes, T = pi/2."""
+def _benchmark_value(w, u0, n, N, x):
+    """u(BENCH_T, x) of a benchmark: A = -d2/dx2 in len(u0) sine modes, T = pi/2."""
     op = SineSpectralOperator(len(u0))
     problem = NonlocalProblem(op=op, T=math.pi / 2, w=w, u0=u0)
-    sample = solve_at(problem, SolverConfig(n=n, N=N, step=CalibratedStep()), t)
+    sample = solve_at(problem, SolverConfig(n=n, N=N, step=CalibratedStep()), BENCH_T)
     return op.evaluate(sample.value, x)
 
 
-def _benchmark1_value(n, N, t=1.0, x=0.5):
-    return _benchmark_value(WeightFunction.cos(), np.array([BENCH1_C0]), n, N, t, x)
+def _benchmark1_value(n, N):
+    return _benchmark_value(WeightFunction.cos(), np.array([BENCH1_C0]), n, N, BENCH_X[1])
 
 
-def _benchmark2_value(n, N, t=1.0, x=0.4, modes=BENCH2_MODES):
-    u0 = poly_x2_1mx_coefficients(modes)
-    return _benchmark_value(WeightFunction.cos_square(), u0, n, N, t, x)
+def _benchmark2_value(n, N):
+    u0 = poly_x2_1mx_coefficients(BENCH2_MODES)
+    return _benchmark_value(WeightFunction.cos_square(), u0, n, N, BENCH_X[2])
 
 
-def _benchmark2_reference(n, N):
-    """(n, N) of the self-reference that example 2 is measured against."""
-    return min(max(2 * n, 64), MAX_GAUSS_ORDER), max(2 * N, 512)
-
-
-def _check_benchmark_plans(example, n, N):
-    """Refuse with ConfigError, before any solve, a plan of
-    run_reproduction(example, n, N) over the budget of check_node_buffer."""
-    check_node_buffer(n, N, 1 if example == 1 else BENCH2_MODES)
-    if example == 2:  # and its self-reference
-        check_node_buffer(*_benchmark2_reference(n, N), BENCH2_MODES)
-
-
-def run_reproduction(example: int, n: int, N: int):
-    """Rows for one benchmark run: (n, N, t, x, value, abs_error)."""
+def _example_plans(example, n, N):
+    """(n, N, dim) of each plan that run_reproduction(example, n, N) solves, in
+    order: the requested one and, for example 2, its self-reference."""
     if example == 1:
-        t, x = 1.0, 0.5
-        value = _benchmark1_value(n, N, t, x)
-        exact = math.exp(-math.pi**2 * t) * math.sin(math.pi * x)
-        return [(n, N, t, x, value, abs(value - exact))]
+        return [(n, N, 1)]
     if example == 2:
-        t, x = 1.0, 0.4
-        value = _benchmark2_value(n, N, t, x)
-        ref = _benchmark2_value(*_benchmark2_reference(n, N), t, x)
-        return [(n, N, t, x, value, abs(value - ref))]
+        return [(n, N, BENCH2_MODES),
+                (min(max(2 * n, 64), MAX_GAUSS_ORDER), max(2 * N, 512), BENCH2_MODES)]
     raise ConfigError(f"example must be 1 or 2, got {example}")
 
 
-def run_convergence(n: int, N_list):
-    """Error of benchmark 1 at (t=1, x=0.5) for each N in N_list."""
-    return [run_reproduction(1, n, N)[0] for N in N_list]
+def run_reproduction(example: int, n: int, N: int):
+    """The row of one benchmark run: (n, N, t, x, value, abs_error)."""
+    plans = _example_plans(example, n, N)
+    if example == 1:  # against the exact solution
+        value = _benchmark1_value(n, N)
+        ref = math.exp(-math.pi**2 * BENCH_T) * math.sin(math.pi * BENCH_X[1])
+    else:  # against the self-reference, whose (n, N) lead its plan
+        value = _benchmark2_value(n, N)
+        ref = _benchmark2_value(*plans[1][:2])
+    return n, N, BENCH_T, BENCH_X[example], value, abs(value - ref)
 
 
 def run_solve(rc: RunConfig):
@@ -325,19 +316,18 @@ def _parser():
 
     p_solve = sub.add_parser("solve", help="run a problem from a config file")
     p_solve.add_argument("--config", required=True, help="key = value config file")
-    p_solve.add_argument("--out", default=None, help="CSV output path (default stdout)")
 
     p_rep = sub.add_parser("reproduce", help="run a built-in benchmark problem")
     p_rep.add_argument("--example", type=int, required=True, choices=(1, 2))
     p_rep.add_argument("--n", type=int, required=True, help=N_HELP)
     p_rep.add_argument("--N", type=int, required=True, help="Sinc truncation")
-    p_rep.add_argument("--out", default=None)
 
     p_conv = sub.add_parser("converge", help="error decay of benchmark 1 over N")
-    p_conv.add_argument("--example", type=int, default=1, choices=(1,))
+    p_conv.set_defaults(example=1)
     p_conv.add_argument("--n", type=int, required=True, help=N_HELP)
     p_conv.add_argument("--N-list", required=True, help="comma-separated N values")
-    p_conv.add_argument("--out", default=None)
+    for p in (p_solve, p_rep, p_conv):
+        p.add_argument("--out", help="CSV output path (default stdout)")
     return parser
 
 
@@ -352,7 +342,6 @@ def _main(argv):
             raise ConfigError(f"cannot read config {args.config!r}: {e}")
         rc = parse_config(text)
         rows = run_solve(rc)
-        emit_csv(rows, args.out if args.out is not None else rc.out)
     else:  # reproduce one N, or converge over a list of them
         n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
         if args.command == "reproduce":
@@ -361,9 +350,10 @@ def _main(argv):
             flag = "--N-list"
             N_list = _at(flag, _list, args.N_list, lambda p: _int(p, low=0), "N")
         for N in N_list:  # every plan is checked before the first solve
-            _at(flag, _check_benchmark_plans, args.example, n, N)
-        rows = [run_reproduction(args.example, n, N)[0] for N in N_list]
-        emit_csv(rows, args.out)
+            for plan in _example_plans(args.example, n, N):
+                _at(flag, check_node_buffer, *plan)
+        rows = [run_reproduction(args.example, n, N) for N in N_list]
+    emit_csv(rows, args.out)
     return 0
 
 
@@ -383,9 +373,9 @@ def main(argv=None):
         except NumericalError as e:
             print(f"numerical failure: {e}", file=sys.stderr)
             return 4
-        finally:  # every call shows its own warnings, once each
-            for w in caught:
-                print(f"warning: {w.message}", file=sys.stderr)
+        finally:  # every call shows its own warnings, each distinct one once
+            for message in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {message}", file=sys.stderr)
 
 
 if __name__ == "__main__":

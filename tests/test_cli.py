@@ -23,7 +23,6 @@ from nonlocalsolver.cli import (
     emit_csv,
     main,
     parse_config,
-    run_convergence,
     run_reproduction,
 )
 from nonlocalsolver import solver
@@ -144,17 +143,15 @@ class TestReproduction:
             (8, 16): (7.3086845013760e-10, 5),
             (16, 32): (2.609087146562e-13, 10),
         }.items():
-            rows = run_reproduction(1, n, N)
-            err = rows[0][5]
+            err = run_reproduction(1, n, N)[5]
             assert target / factor <= err <= target * factor, (n, N, err)
         # off the calibration anchors the step rule overshoots the reference
         # accuracy; only require not worse than 10x
-        err = run_reproduction(1, 8, 32)[0][5]
+        err = run_reproduction(1, 8, 32)[5]
         assert err <= 10 * 8.2307398421915e-12
 
     def test_benchmark2_self_consistent(self):
-        rows = run_reproduction(2, 32, 256)
-        n, N, t, x, value, diff = rows[0]
+        n, N, t, x, value, diff = run_reproduction(2, 32, 256)
         assert (t, x) == (1.0, 0.4)
         assert diff <= 1e-12 * abs(value)
         assert value == pytest.approx(5.7628562423365e-6, rel=1e-12)
@@ -164,9 +161,23 @@ class TestReproduction:
             run_reproduction(3, 4, 8)
 
     def test_convergence_errors_decrease(self):
-        rows = run_convergence(16, [4, 8, 16, 32])
-        errs = [r[5] for r in rows]
+        errs = [run_reproduction(1, 16, N)[5] for N in (4, 8, 16, 32)]
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    @pytest.mark.parametrize("example", (1, 2))
+    @pytest.mark.parametrize("n, N", ((8, 16), (100, 16), (16, 300)))
+    def test_plans_match_the_precheck(self, monkeypatch, example, n, N):
+        # the plans that reproduce sizes before its first solve are the plans
+        # it then solves, example 2's self-reference included, in that order
+        built, plan = [], solver._Plan
+
+        def record(problem, config):
+            built.append((config.n, config.N, problem.op.dim))
+            return plan(problem, config)
+
+        monkeypatch.setattr(solver, "_Plan", record)
+        run_reproduction(example, n, N)
+        assert built == cli._example_plans(example, n, N)
 
 
 class TestMain:
@@ -226,9 +237,8 @@ class TestMain:
     def test_out_file_and_determinism(self, tmp_path):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("operator = diagonal:4\nT = 1\nweight = cos\n"
-                       "u0 = sine:1\nt = 0.5\n"
-                       "out = " + str(tmp_path / "a.csv") + "\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
+                       "u0 = sine:1\nt = 0.5\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "a.csv")]) == 0
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "b.csv")]) == 0
         a = (tmp_path / "a.csv").read_bytes()
         b = (tmp_path / "b.csv").read_bytes()
@@ -348,10 +358,13 @@ class TestMain:
         ("diagonal:1", "m = 8", "m"),
         ("diagonal:1", "modes = 8", "modes"),
         ("diagonal:1", "alpha = 0.5", "alpha"),
-    ], ids=["sine-m", "laplacian-modes", "diagonal-m", "diagonal-modes", "diagonal-alpha"])
+        ("diagonal:1", "out = x.csv", "out"),
+    ], ids=["sine-m", "laplacian-modes", "diagonal-m", "diagonal-modes", "diagonal-alpha",
+            "diagonal-out"])
     def test_size_key_not_read_exit_code(self, tmp_path, capsys, operator, size, key):
-        # the size rides on the operator kind and alpha on step_mode = uniform:ALPHA;
-        # the keys that once held them are refused like any unknown key
+        # the size rides on the operator kind, alpha on step_mode = uniform:ALPHA and
+        # the output path on --out; the keys that once held them are refused like
+        # any unknown key
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(BASE.replace("diagonal:1", operator) + size + "\n")
         assert main(["solve", "--config", str(cfg)]) == 2
@@ -522,9 +535,11 @@ class TestInProcessReuse:
         assert main(argv) == 0
         first = capsys.readouterr().out
         # an argparse error in between leaves the next call unchanged
-        with pytest.raises(SystemExit) as exc:
-            main(["solve", "--bogus"])
-        assert exc.value.code == 2
+        for bad in (["solve", "--bogus"], ["converge", "--example", "1", "--n", "8",
+                                            "--N-list", "4"]):
+            with pytest.raises(SystemExit) as exc:
+                main(bad)
+            assert exc.value.code == 2
         capsys.readouterr()
         assert main(argv) == 0
         assert capsys.readouterr().out == first
@@ -535,17 +550,21 @@ class TestInProcessReuse:
 
     def test_warning_shown_on_every_call(self, capsys):
         # w = cos with T = pi/2 has sup|w| = 1 > 1/T; under Python's default
-        # filters each call prints that warning once, after its output
-        argv = ["reproduce", "--example", "1", "--n", "8", "--N", "16"]
-        with warnings.catch_warnings():
-            warnings.resetwarnings()
-            for _ in range(2):
-                assert main(argv) == 0
-                out, err = capsys.readouterr()
-                assert out.startswith("n,N,t,x,value,abs_error\n")
-                assert err.startswith("warning: sup|w| exceeds 1/T: ")
-                assert err.count("warning: ") == 1 and ".py:" not in err
-            # a filter set before the call still decides
-            warnings.simplefilter("error", UserWarning)
-            with pytest.raises(UserWarning, match="sup"):
-                main(argv)
+        # filters each call prints that warning once, after its output, however
+        # many of its plans raise it: example 2 and its self-reference, or
+        # each N of converge
+        for argv in (["reproduce", "--example", "1", "--n", "8", "--N", "16"],
+                     ["reproduce", "--example", "2", "--n", "8", "--N", "16"],
+                     ["converge", "--n", "8", "--N-list", "16,32,64"]):
+            with warnings.catch_warnings():
+                warnings.resetwarnings()
+                for _ in range(2):
+                    assert main(argv) == 0
+                    out, err = capsys.readouterr()
+                    assert out.startswith("n,N,t,x,value,abs_error\n")
+                    assert err.startswith("warning: sup|w| exceeds 1/T: ")
+                    assert err.count("warning: ") == 1 and ".py:" not in err
+                # a filter set before the call still decides
+                warnings.simplefilter("error", UserWarning)
+                with pytest.raises(UserWarning, match="sup"):
+                    main(argv)

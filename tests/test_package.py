@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import pathlib
@@ -27,6 +28,34 @@ def test_star_import_exports_all():
         assert getattr(nonlocalsolver, name) is namespace[name]
 
 
+def test_module_level_names_are_used():
+    # every module-level def, class and assignment of the package is read
+    # somewhere in src/: as a loaded name, an attribute or a from-import
+    trees = {path: ast.parse(path.read_text()) for path in (ROOT / "src").rglob("*.py")}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    unused = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            unused += [f"{path.stem}.{name}" for name in names
+                       if name not in used and name not in ("__all__", "__version__")]
+    assert unused == []
+
+
 def test_public_names_are_documented():
     # __all__ holds the names the README documents, each in backquotes
     spans = re.findall(r"`([^`\n]+)`", README.read_text())
@@ -37,10 +66,9 @@ def test_public_names_are_documented():
 
 @pytest.mark.filterwarnings("ignore:sup")
 def test_readme_config_example_runs():
-    # the README's config block, without its out line, parses and solves,
-    # and so does every step_mode its comment lists
-    block = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
-    text = "\n".join(line for line in block.splitlines() if not line.startswith("out "))
+    # the README's config block parses and solves, and so does every
+    # step_mode its comment lists
+    text = re.search(r"```ini\n(.*?)```", README.read_text(), re.S).group(1)
     rc = cli.parse_config(text)
     assert len(cli.run_solve(rc)) == len(rc.ts) == 3
     modes = re.search(r"^step_mode = \S+ +# (.*)$", text, re.M).group(1).split(" | ")
