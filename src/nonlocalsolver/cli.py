@@ -240,7 +240,7 @@ def emit_csv(rows, path=None):
     """Write rows under the fixed header; path None means stdout."""
     lines = ["n,N,t,x,value,abs_error"] + [",".join(map(_fmt, row)) for row in rows]
     text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
+    if path is None:
         sys.stdout.write(text)
         return
     try:

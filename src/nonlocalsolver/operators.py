@@ -22,11 +22,11 @@ class SectorialOperator(ABC):
     """Abstract operator A with spectrum in a right-half-plane sector.
 
     Subclasses implement _resolvent(z, c) on modal coefficients c, the
-    coordinates of a state in the operator's eigenbasis. to_modal and
-    from_modal map a state to its coefficients and back; both are the
-    identity unless a subclass has a basis of its own. The public entry
-    points validate dimensions and count calls (the counter backs the reuse
-    tests).
+    coordinates of a state in the operator's eigenbasis; apply(v), A itself,
+    is optional and read only by residual checks. to_modal and from_modal map
+    a state to its coefficients and back; both are the identity unless a
+    subclass has a basis of its own. The public entry points validate
+    dimensions and count calls (the counter backs the reuse tests).
     """
 
     dim: int
@@ -38,10 +38,6 @@ class SectorialOperator(ABC):
     @abstractmethod
     def _resolvent(self, z: complex, c: np.ndarray) -> np.ndarray:
         ...
-
-    @abstractmethod
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply A itself (used for residual checks)."""
 
     def to_modal(self, v):
         """Coefficients of the state v in the eigenbasis, along the last axis."""
@@ -138,11 +134,8 @@ class Laplacian1D(DiagonalOperator):
         return (4.0 / self.dx**2) * np.sin(k * math.pi * self.dx / 2) ** 2
 
     def apply(self, v):
-        v = np.asarray(v)
-        out = 2.0 * v.copy()
-        out[1:] -= v[:-1]
-        out[:-1] -= v[1:]
-        return out / self.dx**2
+        # full mode: "same" would return 3 values at m = 2
+        return np.convolve(v, [-1.0, 2.0, -1.0])[1:-1] / self.dx**2
 
     def to_modal(self, v):
         """S v along the last axis, by rfft of the odd extension. The plan

@@ -130,8 +130,8 @@ class FixedStep:
     h: float
 
     def __post_init__(self):
-        if not (self.h > 0):
-            raise ValueError(f"step size must be positive, got {self.h}")
+        if not (0.0 < self.h < math.inf):
+            raise ValueError(f"step size must be positive and finite, got {self.h}")
 
     def step_size(self, contour, N):
         return self.h
@@ -262,9 +262,7 @@ class _Plan:
     the k >= 0 nodes, and its conjugate is added into the rows of node k at
     once; the N rows with k >= 1 are then halved. The rows are modal
     coefficients: u0 goes through op.to_modal once, and samples applies
-    op.from_modal once to the summed values of all requested times. t_zero is
-    the time past which every factor is negligible, so samples leaves the
-    rows of later times zero.
+    op.from_modal once to the summed values of all requested times.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
@@ -320,11 +318,6 @@ class _Plan:
                 row[1] -= r.imag
             r1[:N] *= 0.5  # the same bits as / 2, and faster
             r1[N, 1] = 0.0  # the k = 0 node is its own conjugate
-        # past t_zero every |f_k(t)| <= |c_k| e^{-t Re z_k} is below _NEGLIGIBLE / e,
-        # so samples leaves the time's row zero without forming t z_k, which
-        # overflows at a huge finite t
-        self.t_zero = float(np.max((np.log(np.abs(coef)) - math.log(_NEGLIGIBLE) + 1.0)
-                                   / z.real))
         self.r1 = r1.reshape(2 * (N + 1), -1)
 
     def samples(self, ts) -> list:
@@ -334,11 +327,12 @@ class _Plan:
                 raise ValueError(f"time must be nonnegative, got {t}")
         t = np.array(ts, dtype=float)
         nt = len(ts)
-        kept = t <= self.t_zero  # the rows of later times, t = inf too, stay zero
         f = np.zeros((-(-nt // _BLOCK) * _BLOCK, len(self.z)), dtype=complex)
         live = f[:nt]
-        live[kept] = np.exp(np.multiply.outer(-t[kept], self.z)) * self.coef
-        live[abs(live) < _NEGLIGIBLE] = 0.0
+        # a huge t overflows t z_k to a factor 0 or NaN, and both are dropped
+        with np.errstate(all="ignore"):
+            live[:] = np.exp(np.multiply.outer(-t, self.z)) * self.coef
+        live[~(abs(live) >= _NEGLIGIBLE)] = 0.0
         # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
         # [Re R1_k, Im R1_k], so each product row is Re(f R1); matmul runs
         # the stack one 8-row block at a time

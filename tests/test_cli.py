@@ -244,6 +244,15 @@ class TestMain:
         b = (tmp_path / "b.csv").read_bytes()
         assert a == b
 
+    def test_out_dash_is_a_file_name(self, tmp_path, monkeypatch, capsys):
+        # stdout is spelled only by leaving --out out
+        cfg = tmp_path / "p.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", "diagonal:4"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["solve", "--config", str(cfg), "--out", "-"]) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "-").read_text().startswith("n,N,t,x,value,abs_error\n")
+
     def test_reproduce_command(self, tmp_path):
         out = tmp_path / "r.csv"
         assert main(["reproduce", "--example", "1", "--n", "4", "--N", "8",
@@ -280,8 +289,11 @@ class TestMain:
         ("step_mode = bogus\n", "config error: key step_mode: unknown mode"),
         ("step_mode = window\n", "config error: key step_mode: window needs a time"),
         ("n = 200\n", "config error: key n:"),
+        ("step_mode = fixed:inf\n",
+         "config error: key step_mode: step size must be positive and finite"),
     ], ids=["rho1-above-rho0", "rho1-nan", "rho1-negative", "rho1-inf", "large_t-N1",
-            "large_t-c1-nan", "c1-unknown", "step_mode-unknown", "window-t0", "n-above-max"])
+            "large_t-c1-nan", "c1-unknown", "step_mode-unknown", "window-t0", "n-above-max",
+            "fixed-inf"])
     def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, message):
         cfg = tmp_path / "bad.cfg"
         # the window rule has no time to fit when t = 0 is the only one

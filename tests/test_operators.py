@@ -122,12 +122,14 @@ class TestLaplacian1D:
         assert op.spectral.rho0 == pytest.approx(math.pi**2, rel=1e-5)
 
     def test_discrete_eigenvectors(self):
-        op = make_laplacian1d(3)
-        x = op.grid
-        for k in (1, 2, 3):
-            v = np.sin(k * math.pi * x)
-            lam = op.eigenvalue(k)
-            assert np.max(np.abs(op.apply(v) - lam * v)) <= 1e-12 * lam
+        # m = 2 is the smallest grid, where a "same"-mode stencil is one too long
+        for m in (2, 3, 40):
+            op = make_laplacian1d(m)
+            for k in range(1, min(m, 3) + 1):
+                lam = op.eigenvalue(k)
+                mode = np.sin(k * math.pi * op.grid)
+                for v in (mode, (1 - 2j) * mode):
+                    assert np.max(np.abs(op.apply(v) - lam * v)) <= 1e-12 * lam
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):

@@ -146,3 +146,25 @@ def test_traced_benchmark_smoke(tmp_path):
     assert result["correct"] and result["failed"] == 0
     for name, workload in result["workloads"].items():
         assert workload["metrics"]["trace.absent_names"]["value"] == 0, name
+
+
+def test_readme_python_blocks_run(capsys):
+    # the library example prints one line per time, its error below 1e-5; the
+    # custom-operator recipe solves folded and full to the same values
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    exec(blocks[0], namespace)
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        assert float(line.split()[1]) < 1e-5
+    exec(blocks[1], namespace)
+    problem = nonlocalsolver.NonlocalProblem(
+        op=namespace["Dense"]([[3, 1], [1, 5]]), T=0.5,
+        w=nonlocalsolver.WeightFunction.cos(), u0=np.array([1.0, -0.5]))
+    folded, full = [nonlocalsolver.solve_many(
+        problem, nonlocalsolver.SolverConfig(use_symmetry=use_symmetry), [0.1, 1.0])
+        for use_symmetry in (True, False)]
+    for a, b in zip(folded, full):
+        assert np.max(np.abs(a.value - b.value)) <= 1e-13

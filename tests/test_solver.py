@@ -97,8 +97,9 @@ class TestProblemValidation:
         for n, N in ((-1, 64), (16, -1)):
             with pytest.raises(ValueError):
                 SolverConfig(n=n, N=N)
-        with pytest.raises(ValueError):
-            FixedStep(h=0.0)
+        for h in (0.0, math.inf):
+            with pytest.raises(ValueError, match="step size must be positive and finite"):
+                FixedStep(h=h)
         for t_min in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="t_min must be positive and finite"):
                 WindowStep(t_min)
@@ -340,13 +341,16 @@ class TestSolveMany:
                     assert np.array_equal(sample.value, solve_at(problem, config, t).value)
 
     def test_infinite_time_is_zero(self):
-        # a huge finite t gives the same exact zeros, without overflowing t z_k
-        problem = NonlocalProblem(op=Laplacian1D(10), T=0.5, w=WeightFunction.cos(),
-                                  u0=np.ones(10))
-        for use_symmetry in (True, False):
-            config = SolverConfig(n=8, N=16, use_symmetry=use_symmetry)
-            for t in (math.inf, 1e300, 1.7e308):
-                assert np.array_equal(solve_at(problem, config, t).value, np.zeros(10))
+        # a large or huge finite t gives the same exact zeros as t = inf: its
+        # factors, overflowed or not, all fall under _NEGLIGIBLE, without a warning
+        for op in (Laplacian1D(10), DiagonalOperator([2.0, 9.0]), SineSpectralOperator(20)):
+            problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(),
+                                      u0=np.ones(op.dim))
+            for use_symmetry in (True, False):
+                config = SolverConfig(n=8, N=16, use_symmetry=use_symmetry)
+                for t in (1e3, 1e6, math.inf, 1e300, 1.7e308):
+                    value = solve_at(problem, config, t).value
+                    assert np.array_equal(value, np.zeros(op.dim))
 
     def test_negligible_weights_leave_sums_unchanged(self):
         # example-2 data: at t > 0 the weights of the outer nodes fall below
@@ -520,9 +524,6 @@ class _DenseSymmetric(SectorialOperator):
 
     def _resolvent(self, z, c):
         return np.linalg.solve(z * np.eye(self.dim) - self.a, c)
-
-    def apply(self, v):
-        return self.a @ v
 
 
 def test_custom_operator_matches_its_eigenbasis():
