@@ -200,7 +200,7 @@ def _build_u0(spec, op):
         return e
     if spec == "poly_x2_1mx":
         if isinstance(op, SineSpectralOperator):
-            return poly_x2_1mx_coefficients(op.modes)
+            return poly_x2_1mx_coefficients(op.dim)
         if isinstance(op, Laplacian1D):
             x = op.grid
             return (1.0 - x) * x * x

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
+
 
 @dataclass(frozen=True)
 class SpectralBounds:
@@ -60,14 +62,14 @@ def make_contour(bounds: SpectralBounds, rho1: float = 0.0) -> Contour:
 
     rho1 shifts the inner boundary of the admissible region to the vertical
     line Re z = rho1; the default 0 gives the widest analyticity strip,
-    d1 = pi/2 - phi.
+    d1 = pi/2 - phi. It raises ConfigError for rho1 outside [0, rho0) or d1 <= 0.
     """
     r = math.hypot(bounds.rho0, bounds.b0)
     if not (0.0 <= rho1 < bounds.rho0):
-        raise ValueError(f"rho1 must lie in [0, rho0), got {rho1}")
+        raise ConfigError(f"rho1 must lie in [0, rho0), got {rho1}")
     d1 = math.acos(rho1 / r) - bounds.phi
     if d1 <= 0.0:
-        raise ValueError(
+        raise ConfigError(
             f"degenerate strip: d1 = {d1} <= 0 for rho1={rho1}, phi={bounds.phi}"
         )
     half = d1 / 2 + bounds.phi
@@ -77,9 +79,7 @@ def make_contour(bounds: SpectralBounds, rho1: float = 0.0) -> Contour:
 
 
 def make_self_adjoint_contour(rho0: float) -> Contour:
-    """Contour for a self-adjoint positive definite operator (phi = 0)."""
-    if not (rho0 > 0):
-        raise ValueError(f"rho0 must be positive, got {rho0}")
+    """Contour for a self-adjoint positive definite operator; SpectralBounds checks rho0."""
     a = rho0 / math.sqrt(2.0)
     return Contour(
         bounds=SpectralBounds(rho0=rho0, phi=0.0),

@@ -21,19 +21,17 @@ from .errors import NumericalError
 class SectorialOperator(ABC):
     """Abstract operator A with spectrum in a right-half-plane sector.
 
-    Subclasses implement _resolvent(z, c) on modal coefficients c, the
-    coordinates of a state in the operator's eigenbasis; apply(v), A itself,
-    is optional and read only by residual checks. to_modal and from_modal map
-    a state to its coefficients and back; both are the identity unless a
-    subclass has a basis of its own. The public entry points validate
-    dimensions and count calls (the counter backs the reuse tests).
+    A subclass sets dim and spectral and implements _resolvent(z, c) on modal
+    coefficients c, the coordinates of a state in the eigenbasis; it calls no
+    __init__ here. apply(v), A itself, is optional, read by residual checks;
+    to_modal and from_modal, state to coefficients and back, are the identity
+    unless a subclass has a basis of its own. The public entry points validate
+    dimensions and count solves in resolvent_calls, a class default 0 at first.
     """
 
     dim: int
     spectral: SpectralBounds
-
-    def __init__(self):
-        self.resolvent_calls = 0
+    resolvent_calls: int = 0
 
     @abstractmethod
     def _resolvent(self, z: complex, c: np.ndarray) -> np.ndarray:
@@ -79,7 +77,6 @@ class DiagonalOperator(SectorialOperator):
     basis otherwise."""
 
     def __init__(self, eigenvalues):
-        super().__init__()
         lam = np.asarray(eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
@@ -110,7 +107,7 @@ class DiagonalOperator(SectorialOperator):
 
 
 class Laplacian1D(DiagonalOperator):
-    """Finite-difference -d2/dx2 on (0,1) with Dirichlet ends, m interior points.
+    """Finite-difference -d2/dx2 on (0,1) with Dirichlet ends, dim = m interior points.
 
     A_h = S diag(lambda_k) S with S the orthonormal DST-I matrix, so A_h is a
     DiagonalOperator in the basis S. Its states are grid values: to_modal and
@@ -120,14 +117,13 @@ class Laplacian1D(DiagonalOperator):
     def __init__(self, m: int):
         if not (isinstance(m, (int, np.integer)) and m >= 2):
             raise ValueError(f"need an integer number m >= 2 of interior points, got m = {m}")
-        self.m = m
         self.dx = 1.0 / (m + 1)
         super().__init__(self.eigenvalue(np.arange(1, m + 1)))
 
     @property
     def grid(self):
         """Interior grid points x_i = i*dx."""
-        return self.dx * np.arange(1, self.m + 1)
+        return self.dx * np.arange(1, self.dim + 1)
 
     def eigenvalue(self, k):
         """lambda_k for an integer k or an integer array k."""
@@ -146,7 +142,7 @@ class Laplacian1D(DiagonalOperator):
             return self.to_modal(v.real) + 1j * self.to_modal(v.imag)
         zero = np.zeros(v.shape[:-1] + (1,))
         ext = np.concatenate((zero, v, zero, -v[..., ::-1]), axis=-1)
-        return np.fft.rfft(ext)[..., 1 : self.m + 1].imag / -math.sqrt(2 * self.m + 2)
+        return np.fft.rfft(ext)[..., 1 : self.dim + 1].imag / -math.sqrt(2 * self.dim + 2)
 
     from_modal = to_modal  # S is symmetric and orthogonal, so S^{-1} = S
 
@@ -162,13 +158,12 @@ class SineSpectralOperator(DiagonalOperator):
         if not (isinstance(modes, (int, np.integer)) and modes >= 1):
             raise ValueError(f"need an integer number of modes >= 1, got {modes}")
         super().__init__((np.arange(1, modes + 1) * math.pi) ** 2)
-        self.modes = modes
 
     def evaluate(self, coeffs, x):
         """Evaluate the sine series sum_k c_k sin(k*pi*x) at x."""
         coeffs = np.asarray(coeffs)
         x = np.asarray(x, dtype=float)
-        k = np.arange(1, self.modes + 1)
+        k = np.arange(1, self.dim + 1)
         basis = np.sin(np.multiply.outer(x, k) * math.pi)
         out = basis @ coeffs
         return out if out.ndim else out[()]

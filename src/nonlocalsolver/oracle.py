@@ -17,9 +17,11 @@ import numpy as np
 from .errors import NumericalError
 from .operators import DiagonalOperator
 from .quadrature import WeightFunction
+from .solver import NonlocalProblem
 
 # fixed 10-point panel rule; numpy's own nodes, not the package's
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(10)
+_HALVINGS = 24  # weight_laplace_integral's panel halvings before it gives up
 
 
 def _panel_integral(f, a, b):
@@ -31,7 +33,7 @@ def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
     """J(lam) = int_0^T w(s) e^{-lam s} ds by adaptive composite panels.
 
     Panels are halved until the relative change drops below 1e-14; failure to
-    settle within 24 halvings is reported as an error.
+    settle within _HALVINGS halvings is reported as an error.
     """
     f = lambda s: w(s) * np.exp(-lam * s)
     # beyond s = 50/lam the integrand is below 2e-22 * sup|w|; cutting the
@@ -39,7 +41,7 @@ def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
     upper = min(T, 50.0 / lam)
     panels = 4
     prev = None
-    for _ in range(25):
+    for _ in range(_HALVINGS + 1):
         edges = np.linspace(0.0, upper, panels + 1)
         total = math.fsum(
             _panel_integral(f, edges[i], edges[i + 1]) for i in range(panels)
@@ -49,7 +51,7 @@ def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
         prev = total
         panels *= 2
     raise NumericalError(
-        f"reference integral did not settle after 24 halvings (lam={lam}, T={T})"
+        f"reference integral did not settle after {_HALVINGS} halvings (lam={lam}, T={T})"
     )
 
 
@@ -74,20 +76,15 @@ def reference_solution(op, w: WeightFunction, T: float, u0, t) -> np.ndarray:
     u0 is a state of op; its coefficients op.to_modal(u0) in the operator's
     basis are advanced mode by mode, and the result is mapped back with
     op.from_modal (both the identity for a plain DiagonalOperator). J(lambda_k)
-    is computed once per mode, whatever the number of times.
+    is computed once per mode, whatever the number of times. T and u0 are
+    checked by NonlocalProblem, as in the solver.
     """
     if not isinstance(op, DiagonalOperator):
         raise TypeError(
             f"reference solutions exist only for diagonal operators, "
             f"got {type(op).__name__}"
         )
-    if not (T > 0):
-        raise ValueError(f"horizon must be positive, got {T}")
-    if np.iscomplexobj(u0):
-        raise ValueError("u0 must be real")
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (op.dim,):
-        raise ValueError(f"u0 length {u0.shape} does not match dim {op.dim}")
+    u0 = NonlocalProblem(op=op, T=T, w=w, u0=u0).u0
     scalar = np.ndim(t) == 0
     ts = [t] if scalar else list(t)
     for s in ts:

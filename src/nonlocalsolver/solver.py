@@ -266,10 +266,8 @@ class _Plan:
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
-        try:  # rho1 < rho0 can only be checked once the operator is known
-            contour = make_contour(problem.op.spectral, config.rho1)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        # rho1 < rho0 is checked here: SolverConfig does not know the operator
+        contour = make_contour(problem.op.spectral, config.rho1)
         self.report = check_existence(problem, contour)
         if not self.report.sharp_ok:
             raise ExistenceError(

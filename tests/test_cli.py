@@ -2,6 +2,9 @@ import csv
 import io
 import itertools
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -181,6 +184,20 @@ class TestReproduction:
 
 
 class TestMain:
+    def test_module_entry_point(self):
+        # python -m nonlocalsolver.cli exits with main's code
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        argv = [sys.executable, "-m", "nonlocalsolver.cli", "reproduce", "--example", "1",
+                "--N", "16", "--n"]
+        ok = subprocess.run(argv + ["8"], env=env, capture_output=True, text=True, timeout=120)
+        assert ok.returncode == 0, ok.stderr
+        assert ok.stdout.startswith("n,N,t,x,value,abs_error\n8,16,1,0.5,")
+        bad = subprocess.run(argv + ["200"], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert bad.returncode == 2 and bad.stdout == ""
+        assert bad.stderr.startswith("config error: key --n: must be <= 128")
+
     def test_solve_to_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("operator = diagonal:1\nT = 1\nweight = const:0\n"

@@ -83,18 +83,20 @@ def test_defining_system_residuals_grid(rho0, phi, rho1):
 
 def test_make_contour_rejects_bad_rho1():
     b = SpectralBounds(rho0=1.0, phi=0.2)
-    with pytest.raises(ValueError):
-        make_contour(b, rho1=1.0)
-    with pytest.raises(ValueError):
-        make_contour(b, rho1=-0.5)
+    for rho1 in (1.0, -0.5, math.nan):
+        with pytest.raises(ConfigError, match="rho1 must lie"):
+            make_contour(b, rho1=rho1)
 
 
 def test_degenerate_strip_refused():
     # rho1 one ulp below rho0 puts arccos(rho1 / r) a rounding below phi
     bounds = SpectralBounds(1.0, 0.039899665551839464)
     rho1 = math.nextafter(1.0, 0.0)
-    with pytest.raises(ValueError, match="degenerate strip"):
+    # make_contour raises ConfigError itself, for this strip and for rho1 = rho0
+    with pytest.raises(ConfigError, match="degenerate strip"):
         make_contour(bounds, rho1)
+    with pytest.raises(ConfigError, match="rho1 must lie"):
+        make_contour(SpectralBounds(2.0), 2.0)
     op = DiagonalOperator([1.0, 2.0])
     op.spectral = bounds
     problem = NonlocalProblem(op=op, T=1.0, w=WeightFunction.zero(), u0=[1.0, 1.0])
@@ -136,8 +138,9 @@ def test_self_adjoint_contour():
     assert c.a_I == pytest.approx(math.pi**2 / math.sqrt(2), rel=1e-15)
     assert c.d1 == math.pi / 2
     assert make_self_adjoint_contour(math.sqrt(2)).a_I == pytest.approx(1.0, abs=1e-16)
-    with pytest.raises(ValueError):
-        make_self_adjoint_contour(0.0)
+    for rho0 in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="rho0 must be positive"):
+            make_self_adjoint_contour(rho0)
 
 
 def test_contour_point_at_vertex():

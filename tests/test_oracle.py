@@ -42,6 +42,14 @@ class TestWeightLaplaceIntegral:
         got = weight_laplace_integral(WeightFunction.cos(), lam, math.pi / 2)
         assert got == pytest.approx(exact, rel=1e-10)
 
+    def test_unsettled_integral_refused(self, monkeypatch):
+        # 4 and 8 panels cannot resolve cos(400 s) on [0, 1], so one halving
+        # leaves the sum moving
+        monkeypatch.setattr(oracle, "_HALVINGS", 1)
+        w = WeightFunction.from_callable(lambda s: np.cos(400.0 * s), sup_norm_hint=1.0)
+        with pytest.raises(NumericalError, match="did not settle after 1 halvings"):
+            weight_laplace_integral(w, 1.0, 1.0)
+
 
 class TestModeReference:
     """One scalar mode, through reference_solution on a 1-d DiagonalOperator."""
@@ -69,8 +77,8 @@ class TestModeReference:
 
     def test_validation(self):
         w = WeightFunction.zero()
-        for T in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError):
+        for T in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon"):
                 self._mode(1.0, w, T, 1.0, 0.5)
         for t in (-1.0, math.nan, [0.5, -1.0], [math.nan]):
             with pytest.raises(ValueError):
@@ -146,3 +154,10 @@ class TestReferenceSolution:
         with pytest.raises(ValueError, match="real"):
             reference_solution(DiagonalOperator([2.0]), WeightFunction.zero(),
                                1.0, [1 + 2j], 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_u0(self, bad):
+        # the solver's own contract, through NonlocalProblem
+        with pytest.raises(ValueError, match="u0 must be finite"):
+            reference_solution(DiagonalOperator([2.0, 3.0]), WeightFunction.zero(),
+                               1.0, [1.0, bad], 0.5)

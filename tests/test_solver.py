@@ -514,10 +514,10 @@ def test_no_warning_for_benign_problem():
 
 class _DenseSymmetric(SectorialOperator):
     """The README's recipe for a custom operator: a dense symmetric matrix,
-    solved in the identity basis."""
+    solved in the identity basis. It sets dim and spectral and calls no base
+    __init__; the solve counter is the base class's default."""
 
     def __init__(self, a):
-        super().__init__()
         self.a = np.asarray(a, dtype=float)
         self.dim = len(self.a)
         self.spectral = SpectralBounds(float(np.linalg.eigvalsh(self.a)[0]))
@@ -533,12 +533,15 @@ def test_custom_operator_matches_its_eigenbasis():
     ref = reference_solution(DiagonalOperator(lam), w, T, V.T @ u0, ts) @ V.T
     problem = NonlocalProblem(op=op, T=T, w=w, u0=u0)
     N = 64
+    assert op.resolvent_calls == 0  # the class default, with no base __init__
     for use_symmetry, calls in ((True, N + 1), (False, 2 * N + 1)):
-        op.resolvent_calls = 0
+        before = op.resolvent_calls
         config = SolverConfig(n=16, N=N, step=CalibratedStep(), use_symmetry=use_symmetry)
         for sample, r in zip(solve_many(problem, config, ts), ref):
             assert np.max(np.abs(sample.value - r)) <= 1e-13 * np.max(np.abs(u0))
-        assert op.resolvent_calls == calls
+        assert op.resolvent_calls - before == calls
+    # each instance counts its own solves; the class default stays 0
+    assert _DenseSymmetric([[1.0]]).resolvent_calls == SectorialOperator.resolvent_calls == 0
 
 
 @pytest.mark.parametrize("N", [0, 1, 24])
