@@ -66,16 +66,11 @@ def _at(key, parse, *args, **kwargs):
         raise ConfigError(f"key {key}: {e}") from None
 
 
-def _int(text, low=None, high=None):
+def _int(text):
     try:
-        v = int(text)
+        return int(text)
     except ValueError:
         raise ValueError(f"expected an integer, got {text!r}") from None
-    if low is not None and v < low:
-        raise ValueError(f"must be >= {low}, got {v}")
-    if high is not None and v > high:
-        raise ValueError(f"must be <= {high}, got {v}")
-    return v
 
 
 def _real(text, positive=False, within=None, source=""):
@@ -102,11 +97,11 @@ class RunConfig:
 
     def __init__(self, raw):
         self.operator = raw["operator"]
-        self.n = _at("n", _int, raw["n"], low=0, high=MAX_GAUSS_ORDER)
-        self.N = _at("N", _int, raw["N"], low=0)
+        # n, N and rho1 are refused by SolverConfig, so the CLI states no range of its own
+        self.n = _at("n", SolverConfig, n=_at("n", _int, raw["n"])).n
+        self.N = _at("N", SolverConfig, N=_at("N", _int, raw["N"])).N
         self.T = _at("T", _real, raw["T"], positive=True)
-        self.rho1 = _at("rho1", _real, raw["rho1"])
-        _at("rho1", SolverConfig, rho1=self.rho1)
+        self.rho1 = _at("rho1", SolverConfig, rho1=_at("rho1", _real, raw["rho1"])).rho1
         self.x = _at("x", _real, raw["x"], within=(0, 1))  # the problem lives on [0, 1]
         self.u0_spec = raw["u0"]
         self.weight = _at("weight", _parse_weight, raw["weight"])
@@ -343,13 +338,14 @@ def _main(argv):
         rc = parse_config(text)
         rows = run_solve(rc)
     else:  # reproduce one N, or converge over a list of them
-        n = _at("--n", _int, args.n, low=0, high=MAX_GAUSS_ORDER)
+        n = _at("--n", SolverConfig, n=args.n).n
         if args.command == "reproduce":
-            flag, N_list = "--N", [_at("--N", _int, args.N, low=0)]
+            flag, N_list = "--N", [args.N]
         else:
             flag = "--N-list"
-            N_list = _at(flag, _list, args.N_list, lambda p: _int(p, low=0), "N")
+            N_list = _at(flag, _list, args.N_list, _int, "N")
         for N in N_list:  # every plan is checked before the first solve
+            _at(flag, SolverConfig, N=N)
             for plan in _example_plans(args.example, n, N):
                 _at(flag, check_node_buffer, *plan)
         rows = [run_reproduction(args.example, n, N) for N in N_list]

@@ -64,7 +64,6 @@ class SectorialOperator(ABC):
     def modified_resolvent_apply(self, z: complex, c) -> np.ndarray:
         """Apply (zI - A)^{-1} - I/z, which decays like |z|^{-2} on the contour,
         to modal coefficients c; the result is modal coefficients too."""
-        z = complex(z)
         if z == 0:
             raise ValueError("modified resolvent is undefined at z = 0")
         z, c = self._count(z, c)

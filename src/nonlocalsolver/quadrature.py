@@ -78,7 +78,7 @@ class WeightFunction:
 
     @classmethod
     def zero(cls):
-        return cls("constant", lambda s: np.zeros_like(s), "0", sup_hint=0.0)
+        return cls.constant(0.0)
 
     @classmethod
     def constant(cls, c: float):

@@ -169,8 +169,9 @@ class SolverConfig:
     use_symmetry: bool = True
 
     def __post_init__(self):
-        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in (self.n, self.N)):
-            raise ValueError(f"n and N must be integers >= 0, got {self.n}, {self.N}")
+        for name, k in (("n", self.n), ("N", self.N)):
+            if not (isinstance(k, (int, np.integer)) and k >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {k}")
         if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
             raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
         if not (0.0 <= self.rho1 < math.inf):
@@ -185,8 +186,7 @@ class ConditionReport:
 
     sharp_ok: sup|w| < a_I (denominator bounded away from zero on the
     contour). rough_ok: sup|w| <= 1/T (cruder sufficient condition assumed by
-    parts of the error analysis). self_adjoint_ok: sup|w| < rho0/sqrt(2),
-    reported when the operator is self-adjoint.
+    parts of the error analysis).
     """
 
     a_I: float
@@ -194,7 +194,6 @@ class ConditionReport:
     w_sup_estimated: bool
     sharp_ok: bool
     rough_ok: bool
-    self_adjoint_ok: bool | None
 
 
 @dataclass(frozen=True)
@@ -211,16 +210,12 @@ class SolutionSample:
 def check_existence(problem: NonlocalProblem, contour: Contour) -> ConditionReport:
     """Evaluate the solvability conditions; pure report, never raises."""
     w_sup, estimated = problem.w.sup_norm(problem.T)
-    sa = problem.op.spectral.phi == 0.0
     return ConditionReport(
         a_I=contour.a_I,
         w_sup=w_sup,
         w_sup_estimated=estimated,
         sharp_ok=w_sup < contour.a_I,
         rough_ok=w_sup <= 1.0 / problem.T,
-        self_adjoint_ok=(w_sup < problem.op.spectral.rho0 / math.sqrt(2.0))
-        if sa
-        else None,
     )
 
 

@@ -196,7 +196,7 @@ class TestMain:
         bad = subprocess.run(argv + ["200"], env=env, capture_output=True, text=True,
                              timeout=120)
         assert bad.returncode == 2 and bad.stdout == ""
-        assert bad.stderr.startswith("config error: key --n: must be <= 128")
+        assert bad.stderr.startswith("config error: key --n: n must be <= 128, got 200")
 
     def test_solve_to_stdout(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
@@ -431,6 +431,26 @@ class TestMain:
         monkeypatch.undo()
         # the self-reference of example 2 stays within the bound on n
         assert main(["reproduce", "--example", "2", "--n", "100", "--N", "16"]) == 0
+
+    @pytest.mark.parametrize("key, field, value, argv", [
+        ("n", "n", -1, None), ("n", "n", 129, None), ("N", "N", -1, None),
+        ("--n", "n", -1, ["reproduce", "--example", "1", "--n", "-1", "--N", "16"]),
+        ("--n", "n", 129, ["reproduce", "--example", "1", "--n", "129", "--N", "16"]),
+        ("--N", "N", -16, ["reproduce", "--example", "1", "--n", "8", "--N", "-16"]),
+        ("--N-list", "N", -4, ["converge", "--n", "8", "--N-list", "16,-4"]),
+    ], ids=["config-n-negative", "config-n-above-max", "config-N-negative",
+            "flag-n-negative", "flag-n-above-max", "flag-N-negative", "flag-N-list-negative"])
+    def test_order_refusal_in_solver_words(self, tmp_path, capsys, key, field, value, argv):
+        # the CLI reports an n or N refusal in SolverConfig's own words, under
+        # the config key or the flag that gave the value
+        if argv is None:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(BASE + f"{field} = {value}\n")
+            argv = ["solve", "--config", str(cfg)]
+        with pytest.raises(ValueError) as refusal:
+            SolverConfig(**{field: value})
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: key {key}: {refusal.value}\n"
 
     def test_huge_N_refused_under_its_flag(self, capsys, monkeypatch):
         # the node budget of every plan the command builds, example 2's

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import importlib.util
 import json
 import pathlib
@@ -54,6 +55,20 @@ def test_module_level_names_are_used():
             unused += [f"{path.stem}.{name}" for name in names
                        if name not in used and name not in ("__all__", "__version__")]
     assert unused == []
+
+
+def test_result_fields_are_read():
+    # no dead diagnostic: every field of the records a solve returns is read
+    # as an attribute somewhere in src/ or named in a README backquote span
+    read = {node.attr for path in (ROOT / "src").rglob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    spans = re.findall(r"`([^`\n]+)`", README.read_text())
+    dead = [f"{record.__name__}.{f.name}"
+            for record in (nonlocalsolver.ConditionReport, nonlocalsolver.SolutionSample)
+            for f in dataclasses.fields(record)
+            if f.name not in read and not any(re.search(rf"\b{f.name}\b", s) for s in spans)]
+    assert dead == []
 
 
 def test_public_names_are_documented():
