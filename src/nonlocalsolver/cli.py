@@ -23,7 +23,6 @@ from .operators import (
 )
 from .quadrature import WeightFunction
 from .solver import (
-    MAX_GAUSS_ORDER,
     CalibratedStep,
     FixedStep,
     NonlocalProblem,
@@ -269,7 +268,7 @@ def _example_plans(example, n, N):
         return [(n, N, 1)]
     if example == 2:
         return [(n, N, BENCH2_MODES),
-                (min(max(2 * n, 64), MAX_GAUSS_ORDER), max(2 * N, 512), BENCH2_MODES)]
+                (SolverConfig.n, max(2 * N, 512), BENCH2_MODES)]
     raise ConfigError(f"example must be 1 or 2, got {example}")
 
 

@@ -34,7 +34,7 @@ normal. A dropped term is below 2^-800 |R1_k|, under the rounding of any
 sample relative to |u0|. The rule reads only the time's own factors, so
 solve_many still equals solve_at bit for bit. Complex weights are rejected
 (see quadrature.nonlocal_integral), and u0 is real, so the data are
-conjugate-symmetric.
+conjugate-symmetric. The scalar stage, _nodes, reads no u0 and solves nothing.
 """
 
 import math
@@ -48,7 +48,6 @@ from .errors import ConfigError, ExistenceError, NumericalError
 from .operators import SectorialOperator
 from .quadrature import WeightFunction, gauss_legendre, integral_bytes, nonlocal_integral
 
-TWO_PI_I = 2j * math.pi
 MAX_GAUSS_ORDER = 128
 # rows per matrix product in _Plan.samples; fixed, so that a row's rounding
 # does not depend on the number of times requested
@@ -234,62 +233,62 @@ def check_node_buffer(n: int, N: int, dim: int, phi: float = 0.0) -> None:
         )
 
 
-def _denominator(problem, rule, z):
-    """1 + I_n(z) with a collapse check (z scalar or array)."""
-    den = 1.0 + nonlocal_integral(rule, problem.w, problem.T, z)
+def _nodes(problem: NonlocalProblem, config: SolverConfig):
+    """The scalar stage of a plan: (report, h, z, coef) of its N+1 Sinc nodes
+    z_k, k = N..0, c_k = z'(kh) / (2 pi i (1 + I_n(z_k))) doubled for k >= 1.
+    It reads op.spectral, op.dim, w and T, never u0, and solves nothing."""
+    # rho1 < rho0 is checked here: SolverConfig does not know the operator
+    contour = make_contour(problem.op.spectral, config.rho1)
+    report = check_existence(problem, contour)
+    if not report.sharp_ok:
+        raise ExistenceError(
+            f"solvability condition violated: sup|w| = {report.w_sup} "
+            f">= a_I = {report.a_I}"
+        )
+    if not report.rough_ok:
+        warnings.warn(
+            "sup|w| exceeds 1/T: proceeding under the sharp condition only "
+            "(parts of the error analysis assumed sup|w| <= 1/T)",
+            stacklevel=4,  # the caller of solve_at or solve_many, past _Plan
+        )
+    N = config.N
+    h = config.step.step_size(contour, N)
+    with np.errstate(all="ignore"):  # refused before any per-node array exists
+        outer = contour_point(contour, N * h)
+    if not np.isfinite([outer.z, outer.dz]).all():
+        raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {h}")
+    check_node_buffer(config.n, N, problem.op.dim, problem.op.spectral.phi)
+    # descending k: the terms decay with |k|, so the sums add the smallest first
+    nodes = contour_point(contour, np.arange(N, -1, -1) * h)
+    den = 1.0 + nonlocal_integral(gauss_legendre(config.n), problem.w, problem.T, nodes.z)
     # written so that a NaN denominator fails the check too
     if not np.all(np.abs(den) >= 1e-13):
         raise NumericalError(
             "denominator 1 + I_n vanished or is not finite on the contour; "
             "the solvability condition is violated or w is not finite"
         )
-    return den
+    coef = nodes.dz / (2j * math.pi * den)
+    coef[:-1] *= 2.0
+    return report, h, nodes.z, coef
 
 
 class _Plan:
     """t-independent precomputation shared by all samples of one config.
 
-    Holds, per Sinc node z_k with k = N..0, the coefficient
-    c_k = z'(kh) / (2 pi i (1 + I_n(z_k))), doubled for k >= 1 to account for
-    the conjugate -k term, and the rows Re R1_k, Im R1_k of the modified
-    resolvent applied to u0, in one (2(N+1), dim) real buffer. With
-    use_symmetry=False the node -k, which is conj(z_k), is solved too, after
-    the k >= 0 nodes, and its conjugate is added into the rows of node k at
-    once; the N rows with k >= 1 are then halved. The rows are modal
-    coefficients: u0 goes through op.to_modal once, and samples applies
-    op.from_modal once to the summed values of all requested times.
+    Holds the scalar stage of _nodes and, per node z_k with k = N..0, the rows
+    Re R1_k, Im R1_k of the modified resolvent applied to u0, in one
+    (2(N+1), dim) real buffer. With use_symmetry=False the node -k, which is
+    conj(z_k), is solved too, after the k >= 0 nodes, and its conjugate is
+    added into the rows of node k at once; the N rows with k >= 1 are then
+    halved. The rows are modal coefficients: u0 goes through op.to_modal once,
+    and samples applies op.from_modal once to the summed values of all
+    requested times.
     """
 
     def __init__(self, problem: NonlocalProblem, config: SolverConfig):
-        # rho1 < rho0 is checked here: SolverConfig does not know the operator
-        contour = make_contour(problem.op.spectral, config.rho1)
-        self.report = check_existence(problem, contour)
-        if not self.report.sharp_ok:
-            raise ExistenceError(
-                f"solvability condition violated: sup|w| = {self.report.w_sup} "
-                f">= a_I = {self.report.a_I}"
-            )
-        if not self.report.rough_ok:
-            warnings.warn(
-                "sup|w| exceeds 1/T: proceeding under the sharp condition only "
-                "(parts of the error analysis assumed sup|w| <= 1/T)",
-                stacklevel=3,
-            )
-        rule = gauss_legendre(config.n)
-        self.h = config.step.step_size(contour, config.N)
+        self.report, self.h, self.z, self.coef = _nodes(problem, config)
         self.grid = (self.h, config.N, config.n)
         N = config.N
-        with np.errstate(all="ignore"):  # refused before any per-node array exists
-            outer = contour_point(contour, N * self.h)
-        if not np.isfinite([outer.z, outer.dz]).all():
-            raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {self.h}")
-        check_node_buffer(config.n, N, problem.op.dim, problem.op.spectral.phi)
-        # descending k: the terms decay with |k|, so the sums add the smallest first
-        nodes = contour_point(contour, np.arange(N, -1, -1) * self.h)
-        z = nodes.z
-        coef = nodes.dz / (TWO_PI_I * _denominator(problem, rule, z))
-        coef[:-1] *= 2.0
-        self.z, self.coef = z, coef
         self.op = problem.op
         # the plan solves 2^-k u0, its largest entry in [1/2, 1), and samples
         # multiplies by 2^k after from_modal, whose unnormalized transform could
@@ -298,14 +297,14 @@ class _Plan:
         self.exponent = math.frexp(float(np.max(np.abs(problem.u0))))[1]
         c0 = self.op.to_modal(np.ldexp(problem.u0, -self.exponent)).astype(complex)
         r1 = np.empty((N + 1, 2, self.op.dim))
-        for row, zk in zip(r1, z):
+        for row, zk in zip(r1, self.z):
             r = self.op.modified_resolvent_apply(zk, c0)
             row[0], row[1] = r.real, r.imag
         if not config.use_symmetry:
             # solve each -k node at conj(z_k) and fold it onto row k (Re parts
             # add, Im parts subtract), then average: exact when the data are
             # conjugate-symmetric, as they are for real w and u0
-            for row, zk in zip(r1, z[:N]):
+            for row, zk in zip(r1, self.z[:N]):
                 r = self.op.modified_resolvent_apply(zk.conjugate(), c0)
                 row[0] += r.real
                 row[1] -= r.imag
@@ -314,10 +313,6 @@ class _Plan:
         self.r1 = r1.reshape(2 * (N + 1), -1)
 
     def samples(self, ts) -> list:
-        ts = list(ts)
-        for t in ts:
-            if not (t >= 0):
-                raise ValueError(f"time must be nonnegative, got {t}")
         t = np.array(ts, dtype=float)
         nt = len(ts)
         f = np.zeros((-(-nt // _BLOCK) * _BLOCK, len(self.z)), dtype=complex)
@@ -349,12 +344,23 @@ class _Plan:
                 for t, v in zip(ts, values)]
 
 
+def _times(ts) -> list:
+    """The requested times as a list, refusing a negative or NaN one."""
+    ts = list(ts)
+    for t in ts:
+        if not (t >= 0):
+            raise ValueError(f"time must be nonnegative, got {t}")
+    return ts
+
+
 def solve_at(problem: NonlocalProblem, config: SolverConfig, t: float) -> SolutionSample:
     """Approximate u(t) by the Sinc-quadrature contour sum."""
-    return _Plan(problem, config).samples([t])[0]
+    ts = _times([t])  # before the plan, so that a refused time makes no solve
+    return _Plan(problem, config).samples(ts)[0]
 
 
 def solve_many(problem: NonlocalProblem, config: SolverConfig, ts) -> list:
     """Solve at several times, reusing all t-independent work (in particular
     the N+1 resolvent applications) across the samples."""
+    ts = _times(ts)
     return _Plan(problem, config).samples(ts)

@@ -509,7 +509,7 @@ class TestMain:
             problem = NonlocalProblem(op=SineSpectralOperator(dim), T=1.0,
                                       w=WeightFunction.zero(), u0=np.zeros(dim))
             with monkeypatch.context() as m:
-                m.setattr(solver, "_denominator", stop)  # the first step after the check
+                m.setattr(solver, "nonlocal_integral", stop)  # I(z), right after the check
                 try:
                     solver._Plan(problem, SolverConfig(n=n, N=N, use_symmetry=use_symmetry))
                 except ConfigError as e:

@@ -150,7 +150,8 @@ def test_benchmark_selftest(tmp_path):
 
 def test_traced_benchmark_smoke(tmp_path):
     # one traced pass of every workload: each request's output is checked,
-    # and a request fails if its traced resolvent count is not N+1 or 2N+1
+    # and a request fails if its traced resolvent count is not N+1 or 2N+1;
+    # the seed-1 smoke pools make 648, 195 and 1773 solves in all
     _copy_benchmark(tmp_path)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", "all", "--smoke",
@@ -159,8 +160,11 @@ def test_traced_benchmark_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] and result["failed"] == 0
+    solves = {"fd_plan": 648, "spectral_sweep": 195, "cli_small": 1773}
+    assert set(result["workloads"]) == set(solves)
     for name, workload in result["workloads"].items():
         assert workload["metrics"]["trace.absent_names"]["value"] == 0, name
+        assert workload["metrics"]["operators.resolvent_calls"]["value"] == solves[name], name
 
 
 def test_readme_python_blocks_run(capsys):

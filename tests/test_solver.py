@@ -274,10 +274,23 @@ class TestSolveAt:
         for t in (-0.5, math.nan):
             with pytest.raises(ValueError):
                 solve_at(problem, SolverConfig(n=4, N=8), t)
-            # the refusal names the offending time wherever it stands
+            # the refusal names the offending time wherever it stands, and
+            # comes before the plan makes any solve
             for ts in ([0.1, t], [0.0, 1.0, t, 0.5], [math.inf] * 9 + [t]):
                 with pytest.raises(ValueError, match=f"got {t}$"):
                     solve_many(problem, SolverConfig(n=4, N=8), ts)
+        assert problem.op.resolvent_calls == 0
+
+    def test_rough_condition_warning_points_at_the_caller(self):
+        # sup|w| = 1 > 1/T: the warning names this file from either entry point
+        problem = _scalar_problem(lam=2.0, w=WeightFunction.cos(), T=1.5)
+        for call in (lambda: solve_at(problem, SolverConfig(n=4, N=8), 0.5),
+                     lambda: solve_many(problem, SolverConfig(n=4, N=8), [0.5])):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [str(w.message)[:19] for w in caught] == ["sup|w| exceeds 1/T:"]
+            assert caught[0].filename == __file__
 
     def test_refuses_config_the_operator_rules_out(self):
         # rho1 must lie below rho0
@@ -585,6 +598,37 @@ def test_full_sum_fold_matches_out_of_place_fold(make_op, N):
     for got, want in ((plan.r1, r1.reshape(2 * (N + 1), -1)), (plan.z, nodes.z),
                       (plan.z, folded.z), (plan.coef, coef), (plan.coef, folded.coef)):
         np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class _Unsolvable(DiagonalOperator):
+    def _resolvent(self, z, c):
+        raise AssertionError("the scalar stage made a solve")
+
+
+@pytest.mark.parametrize("make_op", [
+    lambda: DiagonalOperator([2.0, 9.0, 30.0]),
+    lambda: Laplacian1D(40),
+    lambda: SineSpectralOperator(30),
+], ids=["diagonal", "laplacian", "spectral"])
+def test_nodes_are_the_plans_scalar_stage(make_op):
+    # _nodes gives a plan's report, h, z and coef bit for bit, reading no u0
+    # and solving nothing, even where a solve would raise
+    op = make_op()
+    for w, config in ((WeightFunction.cos(), SolverConfig(n=8, N=24)),
+                      (WeightFunction.constant(0.3), SolverConfig(step=WindowStep(0.1))),
+                      (WeightFunction.zero(), SolverConfig(N=0, use_symmetry=False))):
+        problem = NonlocalProblem(op=op, T=0.5, w=w, u0=np.linspace(-1.0, 0.7, op.dim))
+        plan = _Plan(problem, config)
+        calls = op.resolvent_calls
+        unsolvable = _Unsolvable(op.spectral.rho0 + np.arange(op.dim))
+        bare = NonlocalProblem(op=unsolvable, T=0.5, w=w, u0=np.ones(op.dim))
+        bare.u0 = None  # a read of u0 would fail
+        for p in (problem, bare):
+            report, h, z, coef = solver._nodes(p, config)
+            assert report == plan.report and h == plan.h
+            for got, want in ((z, plan.z), (coef, plan.coef)):
+                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert op.resolvent_calls == calls and unsolvable.resolvent_calls == 0
 
 
 def test_full_sum_allocates_no_full_buffer():
