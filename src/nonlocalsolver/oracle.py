@@ -86,7 +86,7 @@ def reference_solution(op, w: WeightFunction, T: float, u0, t) -> np.ndarray:
         )
     u0 = NonlocalProblem(op=op, T=T, w=w, u0=u0).u0
     scalar = np.ndim(t) == 0
-    ts = _times([t] if scalar else t)
+    ts = _times([t] if scalar else t)[1]
     den = np.array([1.0 + _mode_integral(w, lam, T) for lam in op.eigenvalues.tolist()])
     rows = np.exp(-np.multiply.outer(ts, op.eigenvalues)) * op.to_modal(u0) / den
     return op.from_modal(rows[0] if scalar else rows)

@@ -4,40 +4,42 @@
 
 The solution u(t) = e^{-At} [I + int_0^T w(s) e^{-As} ds]^{-1} u0 is written
 as a contour integral over the integration hyperbola and discretized by the
-Sinc (trapezoid) rule in the contour parameter; the scalar weight integral
-I(z) is discretized at each node by composite Gauss-Legendre: n+1 points per
-panel, with the number of panels chosen by the program from |z| so that
-e^{-zs} is resolved to double precision (see
-quadrature.nonlocal_integral). For real data the integrand at -zeta is the
-conjugate of the integrand at zeta, so the sum is folded onto k >= 0 and the
-number of resolvent solves drops from 2N+1 to N+1. Both settings build the
-same N+1 nodes z_k, k = N..0, their I(z) stage and their coefficients,
-weighted 2 for k >= 1, and store the real and imaginary parts of the
-resolvents as the rows of one real buffer, in descending k so that each sum
-adds its smallest terms first. With use_symmetry=False the plan also solves
-the N conjugate nodes conj(z_k), k >= 1, adds each result, conjugated, into
-row k, and halves those rows at the end: each pair is averaged in place. The
-whole sum runs in the operator's modal coordinates
-(SectorialOperator.to_modal; the identity for an operator without a basis of
-its own): u0 is transformed once, each node applies the modified resolvent to
-those coefficients, and each requested time costs one from_modal back to the
-state. u(t) is the real part of the sum, h times one stacked matrix product
-per column tile of the buffer, in fixed blocks of _BLOCK times. The tile width
-follows from the buffer's shape alone, each block has _BLOCK rows, the last
-one zero-padded, and copying a tile to contiguous memory changes no operand;
-so a time's value does not depend on the other times of the call.
-The factors f_k(t) = c_k e^{-z_k t} of all times come from one vectorized
-exp, and those below _NEGLIGIBLE = 2^-800 in modulus are set to zero before
-the products: they decay double-exponentially in k, and their products with
-the buffer would otherwise run subnormal arithmetic, many times slower than
-normal. A dropped term is below 2^-800 |R1_k|, under the rounding of any
-sample relative to |u0|. The rule reads only the time's own factors, so
-solve_many still equals solve_at bit for bit. Complex weights are rejected
-(see quadrature.nonlocal_integral), and u0 is real, so the data are
-conjugate-symmetric. The scalar stage, _nodes, reads no u0 and solves nothing.
+Sinc (trapezoid) rule in the contour parameter. A solve has three stages:
+
+- scalar (_nodes): the N+1 nodes z_k, k = N..0, descending so that each sum
+  adds its smallest terms first, 1 + I_n(z_k) by composite Gauss-Legendre
+  (quadrature.nonlocal_integral), and the coefficients c_k. It reads
+  op.spectral, op.dim, w and T, and solves nothing.
+- operator (_modal_rows): the modified resolvent of each node applied to u0
+  in the operator's modal coordinates (SectorialOperator.to_modal; the
+  identity for an operator without a basis of its own), as the real and
+  imaginary rows of one real buffer. It reads op, u0 and the node set.
+- time (_solve): u(t) is the real part of h sum_k c_k e^{-z_k t} R1_k, and
+  one from_modal maps all times back. It reads the nodes, the rows and ts.
+  The times are checked before the scalar stage, so a refused one costs no
+  solve.
+
+For real data the integrand at -zeta is the conjugate of the integrand at
+zeta, so the sum is folded onto k >= 0 with c_k doubled for k >= 1, and the
+resolvent solves drop from 2N+1 to N+1. With use_symmetry=False the operator
+stage also solves the N nodes conj(z_k), k >= 1, adds each result, conjugated,
+into row k, and halves those rows at the end. Complex weights are rejected and
+u0 is real, so the data are conjugate-symmetric. The time sum runs one stacked
+matrix product per column tile of the buffer, in fixed blocks of _BLOCK times,
+the last one zero-padded. The tile width follows from the buffer's shape
+alone, and copying a tile to contiguous memory changes no operand; so a
+time's value does not depend on the other times of the call. The factors
+f_k(t) = c_k e^{-z_k t} of all times come from one vectorized exp, and those
+below _NEGLIGIBLE = 2^-800 in modulus are set to zero before the products:
+they decay double-exponentially in k, and their products with the buffer
+would otherwise run subnormal arithmetic, many times slower than normal. A
+dropped term is below 2^-800 |R1_k|, under the rounding of any sample
+relative to |u0|. The rule reads only the time's own factors, so solve_many
+still equals solve_at bit for bit.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,16 +51,16 @@ from .operators import SectorialOperator
 from .quadrature import WeightFunction, gauss_legendre, integral_bytes, nonlocal_integral
 
 MAX_GAUSS_ORDER = 128
-# rows per matrix product in _Plan.samples; fixed, so that a row's rounding
+# rows per matrix product of the time sum; fixed, so that a row's rounding
 # does not depend on the number of times requested
 _BLOCK = 8
-# the L2 cache that _Plan.samples is sized for: a node buffer larger than
+# the L2 cache that the time sum is sized for: a node buffer larger than
 # this has its column tiles copied to contiguous memory before reuse
 _L2_BYTES = 2 * 1024 * 1024
-# bytes of the node buffer that one column tile of _Plan.samples holds: small
+# bytes of the node buffer that one column tile of the time sum holds: small
 # enough to stay in L2 while every block of times runs over it
 _TILE_BYTES = _L2_BYTES // 4
-# factors |f_k(t)| below this are set to zero in _Plan.samples, so that no
+# factors |f_k(t)| below this are set to zero in the time sum, so that no
 # product runs subnormal; a fixed constant, not an option
 _NEGLIGIBLE = 2.0**-800
 # bytes a plan's real (N+1, 2, dim) node buffer and its I(z) stage may take;
@@ -234,7 +236,7 @@ def check_node_buffer(n: int, N: int, dim: int, phi: float = 0.0) -> None:
 
 
 def _nodes(problem: NonlocalProblem, config: SolverConfig):
-    """The scalar stage of a plan: (report, h, z, coef) of its N+1 Sinc nodes
+    """The scalar stage of a solve: (report, h, z, coef) of its N+1 Sinc nodes
     z_k, k = N..0, c_k = z'(kh) / (2 pi i (1 + I_n(z_k))) doubled for k >= 1.
     It reads op.spectral, op.dim, w and T, never u0, and solves nothing."""
     # rho1 < rho0 is checked here: SolverConfig does not know the operator
@@ -249,7 +251,7 @@ def _nodes(problem: NonlocalProblem, config: SolverConfig):
         warnings.warn(
             "sup|w| exceeds 1/T: proceeding under the sharp condition only "
             "(parts of the error analysis assumed sup|w| <= 1/T)",
-            stacklevel=4,  # the caller of solve_at or solve_many, past _Plan
+            stacklevel=4,  # past _solve and solve_at or solve_many, to their caller
         )
     N = config.N
     h = config.step.step_size(contour, N)
@@ -272,95 +274,89 @@ def _nodes(problem: NonlocalProblem, config: SolverConfig):
     return report, h, nodes.z, coef
 
 
-class _Plan:
-    """t-independent precomputation shared by all samples of one config.
-
-    Holds the scalar stage of _nodes and, per node z_k with k = N..0, the rows
-    Re R1_k, Im R1_k of the modified resolvent applied to u0, in one
-    (2(N+1), dim) real buffer. With use_symmetry=False the node -k, which is
-    conj(z_k), is solved too, after the k >= 0 nodes, and its conjugate is
-    added into the rows of node k at once; the N rows with k >= 1 are then
-    halved. The rows are modal coefficients: u0 goes through op.to_modal once,
-    and samples applies op.from_modal once to the summed values of all
-    requested times.
-    """
-
-    def __init__(self, problem: NonlocalProblem, config: SolverConfig):
-        self.report, self.h, self.z, self.coef = _nodes(problem, config)
-        self.grid = (self.h, config.N, config.n)
-        N = config.N
-        self.op = problem.op
-        # the plan solves 2^-k u0, its largest entry in [1/2, 1), and samples
-        # multiplies by 2^k after from_modal, whose unnormalized transform could
-        # leave the float range; exact unless a value is subnormal, so data near
-        # the float max or subnormal keep their digits and the rest their bits
-        self.exponent = math.frexp(float(np.max(np.abs(problem.u0))))[1]
-        c0 = self.op.to_modal(np.ldexp(problem.u0, -self.exponent)).astype(complex)
-        r1 = np.empty((N + 1, 2, self.op.dim))
-        for row, zk in zip(r1, self.z):
-            r = self.op.modified_resolvent_apply(zk, c0)
-            row[0], row[1] = r.real, r.imag
-        if not config.use_symmetry:
-            # solve each -k node at conj(z_k) and fold it onto row k (Re parts
-            # add, Im parts subtract), then average: exact when the data are
-            # conjugate-symmetric, as they are for real w and u0
-            for row, zk in zip(r1, self.z[:N]):
-                r = self.op.modified_resolvent_apply(zk.conjugate(), c0)
-                row[0] += r.real
-                row[1] -= r.imag
-            r1[:N] *= 0.5  # the same bits as / 2, and faster
-            r1[N, 1] = 0.0  # the k = 0 node is its own conjugate
-        self.r1 = r1.reshape(2 * (N + 1), -1)
-
-    def samples(self, ts) -> list:
-        t = np.array(ts, dtype=float)
-        nt = len(ts)
-        f = np.zeros((-(-nt // _BLOCK) * _BLOCK, len(self.z)), dtype=complex)
-        live = f[:nt]
-        # a huge t overflows t z_k to a factor 0 or NaN, and both are dropped
-        with np.errstate(all="ignore"):
-            live[:] = np.exp(np.multiply.outer(-t, self.z)) * self.coef
-        live[~(abs(live) >= _NEGLIGIBLE)] = 0.0
-        # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
-        # [Re R1_k, Im R1_k], so each product row is Re(f R1); matmul runs
-        # the stack one 8-row block at a time
-        e = f.conj().view(float).reshape(-1, _BLOCK, 2 * len(self.z))
-        rows, dim = self.r1.shape
-        # a multiple of 64 columns, set by the buffer's shape and never by the
-        # number of times, so that tiling cannot change a time's value either
-        width = max(64, _TILE_BYTES // (rows * self.r1.itemsize) // 64 * 64)
-        # a tile of a buffer larger than L2 has its rows far apart, so when
-        # more than one block re-reads it, it is copied to contiguous memory
-        copy = self.r1.nbytes > _L2_BYTES and nt > _BLOCK
-        values = np.empty((len(e), _BLOCK, dim))
-        for c in range(0, dim, width):
-            tile = self.r1[:, c:c + width]
-            np.matmul(e, tile.copy() if copy else tile, out=values[:, :, c:c + width])
-        values = values.reshape(-1, dim)[:nt]
-        values *= self.h
-        values = self.op.from_modal(values)
-        np.ldexp(values, self.exponent, out=values)
-        return [SolutionSample(t=t, value=v, report=self.report, grid=self.grid)
-                for t, v in zip(ts, values)]
+def _modal_rows(op: SectorialOperator, u0: np.ndarray, z: np.ndarray, fold: bool):
+    """The operator stage: (r1, exponent), the rows Re R1_k, Im R1_k of the
+    modified resolvent of each node z_k applied to 2^-exponent u0 in op's modal
+    coordinates, as one (2 len(z), dim) real buffer. fold (the full sum) also
+    solves conj(z_k), k >= 1, after all of z and averages it into row k. It
+    reads op, u0 and z, never w or T."""
+    N = len(z) - 1
+    # the rows solve 2^-k u0, its largest entry in [1/2, 1), and the sum
+    # multiplies by 2^k after from_modal, whose unnormalized transform could
+    # leave the float range; exact unless a value is subnormal, so data near
+    # the float max or subnormal keep their digits and the rest their bits
+    exponent = math.frexp(float(np.max(np.abs(u0))))[1]
+    c0 = op.to_modal(np.ldexp(u0, -exponent)).astype(complex)
+    r1 = np.empty((N + 1, 2, op.dim))
+    for row, zk in zip(r1, z):
+        r = op.modified_resolvent_apply(zk, c0)
+        row[0], row[1] = r.real, r.imag
+    if fold:
+        # solve each -k node at conj(z_k) and fold it onto row k (Re parts
+        # add, Im parts subtract), then average: exact when the data are
+        # conjugate-symmetric, as they are for real w and u0
+        for row, zk in zip(r1, z[:N]):
+            r = op.modified_resolvent_apply(zk.conjugate(), c0)
+            row[0] += r.real
+            row[1] -= r.imag
+        r1[:N] *= 0.5  # the same bits as / 2, and faster
+        r1[N, 1] = 0.0  # the k = 0 node is its own conjugate
+    return r1.reshape(2 * (N + 1), -1), exponent
 
 
-def _times(ts) -> list:
-    """The requested times as a list, refusing a negative or NaN one."""
+def _times(ts):
+    """The requested times as given, in a list, and as a float array; a
+    negative or NaN time, or a finite one beyond the float range, is refused."""
     ts = list(ts)
     for t in ts:
         if not (t >= 0):
             raise ValueError(f"time must be nonnegative, got {t}")
-    return ts
+        if math.inf > t > sys.float_info.max:
+            raise ValueError(f"time is beyond the float range, got {t}")
+    return ts, np.array(ts, dtype=float)
+
+
+def _solve(problem: NonlocalProblem, config: SolverConfig, ts) -> list:
+    """The samples of ts from the three stages of the module docstring."""
+    ts, t = _times(ts)
+    report, h, z, coef = _nodes(problem, config)
+    r1, exponent = _modal_rows(problem.op, problem.u0, z, not config.use_symmetry)
+    nt = len(ts)
+    f = np.zeros((-(-nt // _BLOCK) * _BLOCK, len(z)), dtype=complex)
+    live = f[:nt]
+    # a huge t overflows t z_k to a factor 0 or NaN, and both are dropped
+    with np.errstate(all="ignore"):
+        live[:] = np.exp(np.multiply.outer(-t, z)) * coef
+    live[~(abs(live) >= _NEGLIGIBLE)] = 0.0
+    # conj(f) as float interleaves [Re f_k, -Im f_k], matching the rows
+    # [Re R1_k, Im R1_k], so each product row is Re(f R1); matmul runs
+    # the stack one 8-row block at a time
+    e = f.conj().view(float).reshape(-1, _BLOCK, 2 * len(z))
+    rows, dim = r1.shape
+    # a multiple of 64 columns, set by the buffer's shape and never by the
+    # number of times, so that tiling cannot change a time's value either
+    width = max(64, _TILE_BYTES // (rows * r1.itemsize) // 64 * 64)
+    # a tile of a buffer larger than L2 has its rows far apart, so when
+    # more than one block re-reads it, it is copied to contiguous memory
+    copy = r1.nbytes > _L2_BYTES and nt > _BLOCK
+    values = np.empty((len(e), _BLOCK, dim))
+    for c in range(0, dim, width):
+        tile = r1[:, c:c + width]
+        np.matmul(e, tile.copy() if copy else tile, out=values[:, :, c:c + width])
+    values = values.reshape(-1, dim)[:nt]
+    values *= h
+    values = problem.op.from_modal(values)
+    np.ldexp(values, exponent, out=values)
+    return [SolutionSample(t=s, value=v, report=report, grid=(h, config.N, config.n))
+            for s, v in zip(ts, values)]
 
 
 def solve_at(problem: NonlocalProblem, config: SolverConfig, t: float) -> SolutionSample:
     """Approximate u(t) by the Sinc-quadrature contour sum."""
-    ts = _times([t])  # before the plan, so that a refused time makes no solve
-    return _Plan(problem, config).samples(ts)[0]
+    return _solve(problem, config, [t])[0]
 
 
 def solve_many(problem: NonlocalProblem, config: SolverConfig, ts) -> list:
     """Solve at several times, reusing all t-independent work (in particular
     the N+1 resolvent applications) across the samples."""
-    ts = _times(ts)
-    return _Plan(problem, config).samples(ts)
+    return _solve(problem, config, ts)

@@ -172,13 +172,13 @@ class TestReproduction:
     def test_plans_match_the_precheck(self, monkeypatch, example, n, N):
         # the plans that reproduce sizes before its first solve are the plans
         # it then solves, example 2's self-reference included, in that order
-        built, plan = [], solver._Plan
+        built, plan = [], solver._nodes
 
         def record(problem, config):
             built.append((config.n, config.N, problem.op.dim))
             return plan(problem, config)
 
-        monkeypatch.setattr(solver, "_Plan", record)
+        monkeypatch.setattr(solver, "_nodes", record)
         run_reproduction(example, n, N)
         assert built == cli._example_plans(example, n, N)
 
@@ -417,7 +417,7 @@ class TestMain:
     def test_bad_order_exit_code(self, capsys, monkeypatch):
         # each flag is refused under its name before any plan is built
         plans = []
-        monkeypatch.setattr(solver, "_Plan", lambda *a: plans.append(a))
+        monkeypatch.setattr(solver, "_nodes", lambda *a: plans.append(a))
         for argv, flag in ((["reproduce", "--example", "1", "--n", "-1", "--N", "16"], "--n"),
                            (["reproduce", "--example", "1", "--n", "129", "--N", "16"], "--n"),
                            (["reproduce", "--example", "2", "--n", "8", "--N", "-16"], "--N"),
@@ -456,7 +456,7 @@ class TestMain:
         # the node budget of every plan the command builds, example 2's
         # self-reference at 2N included, is checked before the first solve
         plans = []
-        monkeypatch.setattr(solver, "_Plan", lambda *a: plans.append(a))
+        monkeypatch.setattr(solver, "_nodes", lambda *a: plans.append(a))
         for argv, flag, nodes in (
                 (["reproduce", "--example", "1", "--n", "8", "--N", "100000000"], "--N",
                  "100000001 nodes x dim 1 "),
@@ -472,11 +472,11 @@ class TestMain:
 
     def test_solve_refusals_name_one_key_and_build_nothing(self, tmp_path, capsys,
                                                              monkeypatch):
-        # solve sizes its plan, I(z) stage included, before any operator or
-        # _Plan exists: under operator when one node's row alone is over the
-        # budget, under N otherwise, for every operator kind
+        # solve sizes its plan, I(z) stage included, before any operator exists
+        # or a solve starts: under operator when one node's row alone is over
+        # the budget, under N otherwise, for every operator kind
         built = []
-        monkeypatch.setattr(solver, "_Plan", lambda *a: built.append(a))
+        monkeypatch.setattr(solver, "_nodes", lambda *a: built.append(a))
         for cls in (DiagonalOperator, Laplacian1D, SineSpectralOperator):
             monkeypatch.setattr(cls, "__init__", lambda self, *a: built.append(a))
         cfg = tmp_path / "big.cfg"
@@ -497,7 +497,7 @@ class TestMain:
 
     def test_solve_and_plan_agree_on_the_budget(self, tmp_path, capsys, monkeypatch):
         # on a grid of plans whose bytes straddle 2^30 at rho1 = 0, solve's
-        # pre-check refuses exactly the plans that _Plan refuses; a plan that
+        # pre-check refuses exactly the plans that _nodes refuses; a plan that
         # passes is stopped before it allocates anything per node
         class Passed(Exception):
             pass
@@ -511,7 +511,7 @@ class TestMain:
             with monkeypatch.context() as m:
                 m.setattr(solver, "nonlocal_integral", stop)  # I(z), right after the check
                 try:
-                    solver._Plan(problem, SolverConfig(n=n, N=N, use_symmetry=use_symmetry))
+                    solver._nodes(problem, SolverConfig(n=n, N=N, use_symmetry=use_symmetry))
                 except ConfigError as e:
                     return str(e).startswith("the node buffer of ")
                 except Passed:
@@ -522,7 +522,7 @@ class TestMain:
             cfg.write_text(f"operator = sine_spectral:{dim}\nT = 1\n"
                            f"weight = const:0\nu0 = sine:1\nt = 0.5\nn = {n}\nN = {N}\n")
             with monkeypatch.context() as m:
-                m.setattr(solver, "_Plan", stop)
+                m.setattr(solver, "_nodes", stop)
                 try:
                     code = main(["solve", "--config", str(cfg)])
                 except Passed:

@@ -41,7 +41,8 @@ from nonlocalsolver.solver import (
     _L2_BYTES,
     _NEGLIGIBLE,
     _TILE_BYTES,
-    _Plan,
+    _modal_rows,
+    _nodes,
     check_node_buffer,
 )
 
@@ -271,14 +272,17 @@ class TestSolveAt:
 
     def test_rejects_negative_time(self):
         problem = _scalar_problem()
-        for t in (-0.5, math.nan):
+        # 10**400 is an int beyond the float range
+        for t in (-0.5, math.nan, 10**400):
             with pytest.raises(ValueError):
                 solve_at(problem, SolverConfig(n=4, N=8), t)
             # the refusal names the offending time wherever it stands, and
-            # comes before the plan makes any solve
+            # comes before the solve makes any resolvent solve
             for ts in ([0.1, t], [0.0, 1.0, t, 0.5], [math.inf] * 9 + [t]):
                 with pytest.raises(ValueError, match=f"got {t}$"):
                     solve_many(problem, SolverConfig(n=4, N=8), ts)
+        with pytest.raises(TypeError):  # a string is not parsed as a time
+            solve_many(problem, SolverConfig(n=4, N=8), [0.5, "0.5"])
         assert problem.op.resolvent_calls == 0
 
     def test_rough_condition_warning_points_at_the_caller(self):
@@ -377,24 +381,26 @@ class TestSolveMany:
             op = SineSpectralOperator(modes)
             problem = NonlocalProblem(op=op, T=math.pi / 2, w=WeightFunction.cos_square(),
                                       u0=poly_x2_1mx_coefficients(modes))
-            plan = _Plan(problem, SolverConfig(n=16, N=64, step=CalibratedStep(),
-                                               use_symmetry=use_symmetry))
-            f = np.zeros((-(-len(ts) // _BLOCK) * _BLOCK, len(plan.z)), dtype=complex)
+            config = SolverConfig(n=16, N=64, step=CalibratedStep(), use_symmetry=use_symmetry)
+            _, h, z, coef = _nodes(problem, config)
+            r1, exponent = _modal_rows(op, problem.u0, z, not use_symmetry)
+            f = np.zeros((-(-len(ts) // _BLOCK) * _BLOCK, len(z)), dtype=complex)
             for fj, t in zip(f, ts):
-                fj[:] = np.exp(-plan.z * t) * plan.coef
+                fj[:] = np.exp(-z * t) * coef
             flushed = (f[:len(ts)] != 0) & (abs(f[:len(ts)]) < _NEGLIGIBLE)
             assert flushed.sum() >= 20
             e = f.conj().view(float)
-            rows, dim = plan.r1.shape
-            width = max(64, _TILE_BYTES // (rows * plan.r1.itemsize) // 64 * 64)
+            rows, dim = r1.shape
+            width = max(64, _TILE_BYTES // (rows * r1.itemsize) // 64 * 64)
             ref = np.empty((len(ts), dim))
             for c in range(0, dim, width):
-                tile = plan.r1[:, c:c + width]
+                tile = r1[:, c:c + width]
                 for b in range(0, len(ts), _BLOCK):
                     ref[b:b + _BLOCK, c:c + width] = (e[b:b + _BLOCK] @ tile)[:len(ts) - b]
-            ref *= plan.h
-            np.ldexp(ref, plan.exponent, out=ref)
-            assert np.array_equal(np.array([s.value for s in plan.samples(ts)]), ref)
+            ref *= h
+            np.ldexp(ref, exponent, out=ref)
+            assert np.array_equal(np.array([s.value for s in solve_many(problem, config, ts)]),
+                                  ref)
 
     def test_no_times_gives_empty_list(self):
         for op in (DiagonalOperator([2.0]), Laplacian1D(50), SineSpectralOperator(300)):
@@ -402,6 +408,21 @@ class TestSolveMany:
             for use_symmetry in (True, False):
                 assert solve_many(problem, SolverConfig(n=4, N=16, use_symmetry=use_symmetry),
                                   []) == []
+
+    def test_any_iterable_of_times(self):
+        # a generator, a tuple or an array of times gives the samples of the
+        # list of them, each with its t as given
+        problem = _laplacian_problem(50)
+        config = SolverConfig(n=4, N=16)
+        ts = [0.5, 0, 2, math.inf]
+        want = solve_many(problem, config, ts)
+        for given, expect in (((t for t in ts), ts), (tuple(ts), ts),
+                              (np.array(ts), list(np.array(ts)))):
+            samples = solve_many(problem, config, given)
+            assert [s.t for s in samples] == expect
+            assert [type(s.t) for s in samples] == [type(t) for t in expect]
+            for sample, ref in zip(samples, want):
+                assert np.array_equal(sample.value, ref.value)
 
     def test_repeated_times_identical(self):
         problem = _scalar_problem(lam=3.0)
@@ -572,7 +593,8 @@ def test_full_sum_fold_matches_out_of_place_fold(make_op, N):
     problem = NonlocalProblem(op=op, T=0.5, w=WeightFunction.cos(),
                               u0=np.linspace(-1.0, 0.7, op.dim))
     config = SolverConfig(n=8, N=N, step=CalibratedStep(), use_symmetry=False)
-    folded = _Plan(problem, SolverConfig(n=8, N=N, step=CalibratedStep()))
+    _, _, folded_z, folded_coef = _nodes(problem, SolverConfig(n=8, N=N,
+                                                               step=CalibratedStep()))
     solved, apply = [], op.modified_resolvent_apply
 
     def record(z, c):
@@ -581,23 +603,24 @@ def test_full_sum_fold_matches_out_of_place_fold(make_op, N):
         return r
 
     op.modified_resolvent_apply = record
-    plan = _Plan(problem, config)
+    _, h, z_nodes, coef = _nodes(problem, config)
+    rows, _ = _modal_rows(op, problem.u0, z_nodes, fold=True)
     assert len(solved) == 2 * N + 1
     z = np.array([zk for zk, _ in solved])
     assert np.array_equal(z[N + 1:], z[:N].conj())
     r1 = np.array([[r.real, r.imag] for _, r in solved])
     contour = make_contour(op.spectral)
-    nodes = contour_point(contour, np.arange(N, -1, -1) * plan.h)
-    coef = nodes.dz / (2j * math.pi * (1.0 + nonlocal_integral(gauss_legendre(8), problem.w,
+    nodes = contour_point(contour, np.arange(N, -1, -1) * h)
+    want = nodes.dz / (2j * math.pi * (1.0 + nonlocal_integral(gauss_legendre(8), problem.w,
                                                                problem.T, nodes.z)))
-    coef[:-1] *= 2.0
+    want[:-1] *= 2.0
     # row k >= 1 pairs with the solve at conj(z_k), and the k = 0 row with itself
     mirror = np.concatenate((r1[N + 1:], r1[N:N + 1]))
     r1 = (r1[:N + 1] + mirror * np.array([[1.0], [-1.0]])) / 2
     # compared as bits, so that the sign of a zero counts too
-    for got, want in ((plan.r1, r1.reshape(2 * (N + 1), -1)), (plan.z, nodes.z),
-                      (plan.z, folded.z), (plan.coef, coef), (plan.coef, folded.coef)):
-        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    for got, bits in ((rows, r1.reshape(2 * (N + 1), -1)), (z_nodes, nodes.z),
+                      (z_nodes, folded_z), (coef, want), (coef, folded_coef)):
+        np.testing.assert_array_equal(got.view(np.uint64), bits.view(np.uint64))
 
 
 class _Unsolvable(DiagonalOperator):
@@ -611,23 +634,25 @@ class _Unsolvable(DiagonalOperator):
     lambda: SineSpectralOperator(30),
 ], ids=["diagonal", "laplacian", "spectral"])
 def test_nodes_are_the_plans_scalar_stage(make_op):
-    # _nodes gives a plan's report, h, z and coef bit for bit, reading no u0
-    # and solving nothing, even where a solve would raise
+    # _nodes gives a solve's report and h, and the same z and coef bit for bit
+    # from an operator with the same spectral bounds, reading no u0 and
+    # solving nothing, even where a solve would raise
     op = make_op()
     for w, config in ((WeightFunction.cos(), SolverConfig(n=8, N=24)),
                       (WeightFunction.constant(0.3), SolverConfig(step=WindowStep(0.1))),
                       (WeightFunction.zero(), SolverConfig(N=0, use_symmetry=False))):
         problem = NonlocalProblem(op=op, T=0.5, w=w, u0=np.linspace(-1.0, 0.7, op.dim))
-        plan = _Plan(problem, config)
+        sample = solve_at(problem, config, 0.5)
         calls = op.resolvent_calls
+        report, h, z, coef = _nodes(problem, config)
+        assert report == sample.report and (h, config.N, config.n) == sample.grid
         unsolvable = _Unsolvable(op.spectral.rho0 + np.arange(op.dim))
         bare = NonlocalProblem(op=unsolvable, T=0.5, w=w, u0=np.ones(op.dim))
         bare.u0 = None  # a read of u0 would fail
-        for p in (problem, bare):
-            report, h, z, coef = solver._nodes(p, config)
-            assert report == plan.report and h == plan.h
-            for got, want in ((z, plan.z), (coef, plan.coef)):
-                np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        got = _nodes(bare, config)
+        assert got[:2] == (report, h)
+        for a, b in ((got[2], z), (got[3], coef)):
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
         assert op.resolvent_calls == calls and unsolvable.resolvent_calls == 0
 
 
@@ -637,15 +662,15 @@ def test_full_sum_allocates_no_full_buffer():
     problem = _laplacian_problem(2000)
     N = 64
     config = SolverConfig(N=N, use_symmetry=False)
-    _Plan(problem, config)  # the Gauss rule and leggauss caches are warm
+    z = _nodes(problem, config)[2]
     tracemalloc.start()
     try:
-        plan = _Plan(problem, config)
+        r1, _ = _modal_rows(problem.op, problem.u0, z, fold=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     buffer = (N + 1) * 2 * problem.op.dim * 8
-    assert plan.r1.nbytes == buffer
+    assert r1.nbytes == buffer
     assert peak <= 1.25 * buffer
 
 

@@ -1,0 +1,69 @@
+"""Fingerprint the solver's output over a fixed grid of plans.
+
+    python tools/fingerprint.py SRC_DIR
+
+imports nonlocalsolver from SRC_DIR (for instance the src directory of
+another checkout) and runs solve_many on 192 plans: 3 operators x 4 weights
+x (n, N) in {(8, 16), (16, 64)} x 4 step rules x both sums, at 6 times from 0
+to inf. It prints the plan count, with the number refused, and one SHA-256
+over every plan's values, grids, condition reports and resolvent counts; a
+refused plan contributes its error instead. At one time of each plan it
+asserts that solve_at gives the same bits as solve_many. Two trees that print
+the same digest gave the same results bit for bit, on the same machine and
+BLAS.
+"""
+
+import hashlib
+import itertools
+import math
+import sys
+import warnings
+
+import numpy as np
+
+
+def main(src):
+    sys.path.insert(0, src)
+    import nonlocalsolver as ns
+
+    operators = (lambda: ns.DiagonalOperator([2.0, 9.0, 30.0]),
+                 lambda: ns.Laplacian1D(40), lambda: ns.SineSpectralOperator(30))
+    weights = (ns.WeightFunction.cos(), ns.WeightFunction.cos_square(),
+               ns.WeightFunction.constant(-0.5),
+               ns.WeightFunction.polynomial([0.3, -0.1, 0.05]))
+    orders = ((8, 16), (16, 64))
+    steps = (ns.UniformStep(), ns.WindowStep(0.05), ns.CalibratedStep(), ns.FixedStep(0.2))
+    ts = [0.0, 0.05, 0.3, 1.0, 5.0, math.inf]
+    digest = hashlib.sha256()
+    plans = refused = 0
+    for i, (make_op, w, (n, N), step, use_symmetry) in enumerate(
+            itertools.product(operators, weights, orders, steps, (True, False))):
+        op = make_op()
+        problem = ns.NonlocalProblem(op=op, T=0.5, w=w, u0=np.cos(np.arange(op.dim) + 0.5))
+        config = ns.SolverConfig(n=n, N=N, step=step, use_symmetry=use_symmetry)
+        plans += 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            try:
+                samples = ns.solve_many(problem, config, ts)
+            except Exception as e:  # a refusal is part of the fingerprint
+                digest.update(f"{type(e).__name__}: {e}".encode())
+                refused += 1
+                continue
+            calls = op.resolvent_calls
+            t = ts[i % len(ts)]
+            one = ns.solve_at(problem, config, t).value.view(np.uint64)
+            many = samples[i % len(ts)].value.view(np.uint64)
+            assert np.array_equal(one, many), f"plan {i}: solve_at({t}) differs from solve_many"
+        for s in samples:
+            digest.update(s.value.tobytes())
+            digest.update(repr((s.t, s.grid, s.report)).encode())
+        digest.update(repr(calls).encode())
+    print(f"plans {plans} (refused {refused})")
+    print(f"sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python tools/fingerprint.py SRC_DIR")
+    main(sys.argv[1])
