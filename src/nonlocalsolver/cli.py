@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .errors import ConfigError, ExistenceError, NumericalError
+from .errors import ConfigError, ExistenceError, NumericalError, positive_finite
 from .operators import (
     DiagonalOperator,
     Laplacian1D,
@@ -29,6 +29,7 @@ from .solver import (
     SolverConfig,
     UniformStep,
     WindowStep,
+    _times,
     check_node_buffer,
     solve_at,
     solve_many,
@@ -72,13 +73,11 @@ def _int(text):
         raise ValueError(f"expected an integer, got {text!r}") from None
 
 
-def _real(text, positive=False, within=None, source=""):
+def _real(text, within=None, source=""):
     try:
         v = float(text)
     except ValueError:
         raise ValueError(f"expected a real number{source}, got {text!r}") from None
-    if positive and not (0 < v < math.inf):
-        raise ValueError(f"must be positive and finite, got {v}")
     if within and not (within[0] <= v <= within[1]):  # refuses nan too
         raise ValueError(f"must lie in [{within[0]:g}, {within[1]:g}], got {v}")
     return v
@@ -96,15 +95,15 @@ class RunConfig:
 
     def __init__(self, raw):
         self.operator = raw["operator"]
-        # n, N and rho1 are refused by SolverConfig, so the CLI states no range of its own
+        # the library refuses n, N, T, rho1 and t in its own words; the CLI adds no rule
         self.n = _at("n", SolverConfig, n=_at("n", _int, raw["n"])).n
         self.N = _at("N", SolverConfig, N=_at("N", _int, raw["N"])).N
-        self.T = _at("T", _real, raw["T"], positive=True)
+        self.T = _at("T", positive_finite, "horizon T", _at("T", _real, raw["T"]))
         self.rho1 = _at("rho1", SolverConfig, rho1=_at("rho1", _real, raw["rho1"])).rho1
         self.x = _at("x", _real, raw["x"], within=(0, 1))  # the problem lives on [0, 1]
         self.u0_spec = raw["u0"]
         self.weight = _at("weight", _parse_weight, raw["weight"])
-        self.ts = _at("t", _list, raw["t"], lambda p: _real(p, within=(0, math.inf)), "time")
+        self.ts = _at("t", _times, _at("t", _list, raw["t"], _real, "time"))[0]
         self.step = _at("step_mode", _parse_step, raw["step_mode"], self.ts)
 
 
@@ -205,9 +204,7 @@ def _build_u0(spec, op):
             vals = [_real(v, source=where) for v in map(str.strip, fh) if v]
     except OSError as e:
         raise ValueError(f"cannot read file {spec!r}: {e}") from None
-    if len(vals) != op.dim:
-        raise ValueError(f"file has {len(vals)} values, operator dim is {op.dim}")
-    return np.asarray(vals)
+    return np.asarray(vals)  # NonlocalProblem checks its length
 
 
 def _sample_value(op, sample, x):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, positive_finite
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class SpectralBounds:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (self.rho0 > 0):
-            raise ValueError(f"rho0 must be positive, got {self.rho0}")
+        positive_finite("rho0", self.rho0)
         if not (0.0 <= self.phi < math.pi / 2):
             raise ValueError(f"phi must lie in [0, pi/2), got {self.phi}")
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the rule 0 < v < inf (NaN refused), shared across the package."""
+
+import math
 
 
 class ConfigError(ValueError):
@@ -11,3 +13,9 @@ class ExistenceError(RuntimeError):
 
 class NumericalError(RuntimeError):
     """A numerical procedure failed (singular solve, no convergence)."""
+
+
+def positive_finite(name, v):
+    if not (0.0 < v < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {v}")
+    return v

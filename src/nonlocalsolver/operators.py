@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .contour import SpectralBounds
-from .errors import NumericalError
+from .errors import NumericalError, positive_finite
 
 
 class SectorialOperator(ABC):
@@ -79,8 +79,8 @@ class DiagonalOperator(SectorialOperator):
         lam = np.asarray(eigenvalues, dtype=float)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        if not ((lam > 0) & (lam < math.inf)).all():
-            raise ValueError("all eigenvalues must be positive and finite")
+        for v in (lam.min(), lam.max()):  # a NaN anywhere makes both NaN
+            positive_finite("all eigenvalues", v)
         if not np.all(np.diff(lam) >= 0):
             raise ValueError("eigenvalues must be ascending")
         self.eigenvalues = lam

@@ -8,6 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import positive_finite
 
 # I(z) is cut at Re(z) s = _TAIL_EXPONENT: the tail beyond is at most
 # e^{-37} sup|w| / Re z, below 8.5e-17 wherever the solvability condition
@@ -154,8 +155,7 @@ def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
 
     z may be a scalar or an array; the result broadcasts over z.
     """
-    if not (T > 0):
-        raise ValueError(f"horizon T must be positive, got {T}")
+    positive_finite("horizon T", T)
     z = np.asarray(z)
     zf = z.ravel()
     s_max = _TAIL_EXPONENT / np.maximum(zf.real, _TAIL_EXPONENT / T)

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import Contour, contour_point, make_contour
-from .errors import ConfigError, ExistenceError, NumericalError
+from .errors import ConfigError, ExistenceError, NumericalError, positive_finite
 from .operators import SectorialOperator
 from .quadrature import WeightFunction, gauss_legendre, integral_bytes, nonlocal_integral
 
@@ -93,8 +93,7 @@ class WindowStep:
     t_min: float
 
     def __post_init__(self):
-        if not (0.0 < self.t_min < math.inf):
-            raise ValueError(f"t_min must be positive and finite, got {self.t_min}")
+        positive_finite("t_min", self.t_min)
 
     def step_size(self, contour, N):
         # bisection on x = log h: log(pi d1 / h) - log(a_I t_min cosh(N h)) falls
@@ -131,8 +130,7 @@ class FixedStep:
     h: float
 
     def __post_init__(self):
-        if not (0.0 < self.h < math.inf):
-            raise ValueError(f"step size must be positive and finite, got {self.h}")
+        positive_finite("step size", self.h)
 
     def step_size(self, contour, N):
         return self.h
@@ -148,8 +146,7 @@ class NonlocalProblem:
     u0: np.ndarray
 
     def __post_init__(self):
-        if not (0.0 < self.T < math.inf):
-            raise ValueError(f"horizon T must be positive and finite, got {self.T}")
+        positive_finite("horizon T", self.T)
         if np.iscomplexobj(self.u0):  # the folded sum assumes real data
             raise ValueError("u0 must be real")
         self.u0 = np.asarray(self.u0, dtype=float)
@@ -305,12 +302,11 @@ def _modal_rows(op: SectorialOperator, u0: np.ndarray, z: np.ndarray, fold: bool
 
 
 def _times(ts):
-    """The requested times as given, in a list, and as a float array; a
-    negative or NaN time, or a finite one beyond the float range, is refused."""
+    """The times as given, in a list and a float array: numbers >= 0 that fit a float."""
     ts = list(ts)
     for t in ts:
-        if not (t >= 0):
-            raise ValueError(f"time must be nonnegative, got {t}")
+        if getattr(t, "ndim", 0) or not (t >= 0):  # not np.ndim: 1 us per time
+            raise ValueError(f"time must be a nonnegative number, got {t}")
         if math.inf > t > sys.float_info.max:
             raise ValueError(f"time is beyond the float range, got {t}")
     return ts, np.array(ts, dtype=float)

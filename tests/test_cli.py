@@ -21,6 +21,7 @@ from nonlocalsolver import (
     cli,
     poly_x2_1mx_coefficients,
     reference_solution,
+    solve_many,
 )
 from nonlocalsolver.cli import (
     emit_csv,
@@ -41,6 +42,12 @@ weight = cos
 u0 = sine:1
 t = 0.5
 """
+
+
+def _problem(T=1.0, op=None):
+    """A problem with u0 = [1.0], refused or not by NonlocalProblem itself."""
+    return NonlocalProblem(op=op or DiagonalOperator([1.0]), T=T, w=WeightFunction.zero(),
+                           u0=np.array([1.0]))
 
 
 class TestParseConfig:
@@ -325,7 +332,8 @@ class TestMain:
         ("diagonal:5,9", "poly_x2_1mx", "config error: key u0: poly_x2_1mx is not defined"),
         ("diagonal:5,9", "sine:3", "config error: key u0: mode 3 outside 1..2"),
         ("diagonal:5,9", "{}/missing.txt", "config error: key u0: cannot read file"),
-        ("diagonal:5,9", "{}/short.txt", "config error: key u0: file has 1 values"),
+        ("diagonal:5,9", "{}/short.txt",
+         "config error: key u0: u0 length (1,) does not match operator dim 2"),
         ("diagonal:5,9", "{}/nan.txt", "config error: key u0: u0 must be finite"),
     ], ids=["unknown-kind", "poly-diagonal", "sine-out-of-range", "file-missing",
             "file-short", "file-nan"])
@@ -450,6 +458,36 @@ class TestMain:
         with pytest.raises(ValueError) as refusal:
             SolverConfig(**{field: value})
         assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: key {key}: {refusal.value}\n"
+
+    @pytest.mark.parametrize("given, key, refuse", [
+        ({"T": "-1"}, "T", lambda: _problem(T=-1.0)),
+        ({"T": "0"}, "T", lambda: _problem(T=0.0)),
+        ({"T": "nan"}, "T", lambda: _problem(T=math.nan)),
+        ({"T": "inf"}, "T", lambda: _problem(T=math.inf)),
+        ({"t": "0.5, -1"}, "t", lambda: solve_many(_problem(), SolverConfig(), [0.5, -1.0])),
+        ({"t": "nan"}, "t", lambda: solve_many(_problem(), SolverConfig(), [math.nan])),
+        ({"operator": "diagonal:5,9", "u0": "{}/short.txt"}, "u0",
+         lambda: _problem(op=DiagonalOperator([5.0, 9.0]))),
+        ({"n": "129"}, "n", lambda: SolverConfig(n=129)),
+        ({"N": "-1"}, "N", lambda: SolverConfig(N=-1)),
+        ({"rho1": "-1"}, "rho1", lambda: SolverConfig(rho1=-1.0)),
+        ({"weight": "const:nan"}, "weight", lambda: WeightFunction.constant(math.nan)),
+        ({"step_mode": "fixed:inf"}, "step_mode", lambda: FixedStep(math.inf)),
+        ({"step_mode": "uniform:1.5"}, "step_mode", lambda: UniformStep(1.5)),
+    ], ids=["T-negative", "T-zero", "T-nan", "T-inf", "t-negative", "t-nan", "u0-short",
+            "n", "N", "rho1", "weight-nan", "fixed-inf", "uniform-alpha"])
+    def test_value_refusal_in_library_words(self, tmp_path, capsys, given, key, refuse):
+        # the CLI restates no rule of the library: a bad value is refused in
+        # the library's own words, under the key that gave it
+        (tmp_path / "short.txt").write_text("1\n")
+        lines = dict(line.split(" = ") for line in BASE.splitlines())
+        lines.update((k, v.format(tmp_path)) for k, v in given.items())
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+        with pytest.raises(ValueError) as refusal:
+            refuse()
+        assert main(["solve", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"config error: key {key}: {refusal.value}\n"
 
     def test_huge_N_refused_under_its_flag(self, capsys, monkeypatch):

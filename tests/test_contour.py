@@ -23,6 +23,8 @@ def test_spectral_bounds_validation():
         SpectralBounds(rho0=0.0)
     with pytest.raises(ValueError):
         SpectralBounds(rho0=-1.0)
+    with pytest.raises(ValueError, match="rho0 must be positive and finite, got inf"):
+        SpectralBounds(rho0=math.inf)
     with pytest.raises(ValueError):
         SpectralBounds(rho0=1.0, phi=math.pi / 2)
     with pytest.raises(ValueError):
@@ -138,8 +140,8 @@ def test_self_adjoint_contour():
     assert c.a_I == pytest.approx(math.pi**2 / math.sqrt(2), rel=1e-15)
     assert c.d1 == math.pi / 2
     assert make_self_adjoint_contour(math.sqrt(2)).a_I == pytest.approx(1.0, abs=1e-16)
-    for rho0 in (0.0, -1.0, math.nan):
-        with pytest.raises(ValueError, match="rho0 must be positive"):
+    for rho0 in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="rho0 must be positive and finite"):
             make_self_adjoint_contour(rho0)
 
 

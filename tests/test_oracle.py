@@ -80,7 +80,8 @@ class TestModeReference:
         for T in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="horizon"):
                 self._mode(1.0, w, T, 1.0, 0.5)
-        for t in (-1.0, math.nan, [0.5, -1.0], [math.nan], 10**400, [0.5, 10**400]):
+        for t in (-1.0, math.nan, [0.5, -1.0], [math.nan], 10**400, [0.5, 10**400],
+                  [np.array([0.5])], np.array([[0.5], [1.0]])):
             with pytest.raises(ValueError):
                 self._mode(1.0, w, 1.0, 1.0, t)
 

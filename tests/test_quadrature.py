@@ -185,8 +185,9 @@ class TestNonlocalIntegral:
         assert errs[2] <= 0.25 * errs[1]
 
     def test_rejects_bad_T(self):
-        with pytest.raises(ValueError):
-            nonlocal_integral(gauss_legendre(2), WeightFunction.cos(), -1.0, 1.0)
+        for T in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="horizon T must be positive and finite"):
+                nonlocal_integral(gauss_legendre(2), WeightFunction.cos(), T, 1.0)
 
 
 def _contour(phi=0.0):

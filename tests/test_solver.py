@@ -283,6 +283,11 @@ class TestSolveAt:
                     solve_many(problem, SolverConfig(n=4, N=8), ts)
         with pytest.raises(TypeError):  # a string is not parsed as a time
             solve_many(problem, SolverConfig(n=4, N=8), [0.5, "0.5"])
+        # an array is not a time, even one with one element
+        with pytest.raises(ValueError, match=r"got \[0.5\]$"):
+            solve_many(problem, SolverConfig(n=4, N=8), np.array([[0.5], [1.0]]))
+        with pytest.raises(ValueError, match=r"got \[0.5\]$"):
+            solve_at(problem, SolverConfig(n=4, N=8), np.array([0.5]))
         assert problem.op.resolvent_calls == 0
 
     def test_rough_condition_warning_points_at_the_caller(self):

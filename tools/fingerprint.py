@@ -1,6 +1,7 @@
-"""Fingerprint the solver's output over a fixed grid of plans.
+"""Fingerprint the solver's output over a fixed grid of plans, or the CLI's.
 
     python tools/fingerprint.py SRC_DIR
+    python tools/fingerprint.py --cli SRC_DIR
 
 imports nonlocalsolver from SRC_DIR (for instance the src directory of
 another checkout) and runs solve_many on 192 plans: 3 operators x 4 weights
@@ -11,15 +12,27 @@ refused plan contributes its error instead. At one time of each plan it
 asserts that solve_at gives the same bits as solve_many. Two trees that print
 the same digest gave the same results bit for bit, on the same machine and
 BLAS.
+
+With --cli it runs instead the 600 requests of the benchmark's cli_small
+workload for seeds 1 to 3 (perfbench/workloads.py, CliSmall, read from this
+checkout), each through nonlocalsolver.cli.main in this process. It prints the
+call count, with the number that exited nonzero, and one SHA-256 over every
+call's exit code and standard output.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
+import os
 import sys
+import tempfile
 import warnings
 
 import numpy as np
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
 
 
 def main(src):
@@ -63,7 +76,33 @@ def main(src):
     print(f"sha256 {digest.hexdigest()}")
 
 
+def cli_calls(src):
+    sys.path[:0] = [src, PERFBENCH]
+    from nonlocalsolver import cli
+    from workloads import CliSmall
+
+    digest = hashlib.sha256()
+    calls = nonzero = 0
+    with tempfile.TemporaryDirectory() as workdir:
+        for seed in (1, 2, 3):
+            workload = CliSmall(seed, workdir=os.path.join(workdir, str(seed)))
+            workload.build()
+            for argv in workload.built:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                    code = cli.main(list(argv))
+                calls += 1
+                nonzero += code != 0
+                digest.update(f"{code}\n{out.getvalue()}".encode())
+    print(f"calls {calls} (exit != 0: {nonzero})")
+    print(f"sha256 {digest.hexdigest()}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
-        sys.exit("usage: python tools/fingerprint.py SRC_DIR")
-    main(sys.argv[1])
+    args = sys.argv[1:]
+    if args[:1] == ["--cli"] and len(args) == 2:
+        cli_calls(args[1])
+    elif len(args) == 1:
+        main(args[0])
+    else:
+        sys.exit("usage: python tools/fingerprint.py [--cli] SRC_DIR")
