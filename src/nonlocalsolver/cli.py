@@ -222,8 +222,6 @@ def _sample_value(op, sample, x):
 def _fmt(v):
     if v is None:
         return ""
-    if isinstance(v, int):
-        return str(v)
     return "%.17g" % v
 
 
@@ -327,7 +325,7 @@ def _main(argv):
 
     if args.command == "solve":
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config!r}: {e}")

@@ -160,7 +160,6 @@ class SineSpectralOperator(DiagonalOperator):
 
     def evaluate(self, coeffs, x):
         """Evaluate the sine series sum_k c_k sin(k*pi*x) at x."""
-        coeffs = np.asarray(coeffs)
         x = np.asarray(x, dtype=float)
         k = np.arange(1, self.dim + 1)
         basis = np.sin(np.multiply.outer(x, k) * math.pi)

@@ -21,35 +21,31 @@ from .solver import NonlocalProblem, _times
 
 # fixed 10-point panel rule; numpy's own nodes, not the package's
 _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_HALVINGS = 24  # weight_laplace_integral's panel halvings before it gives up
-
-
-def _panel_integral(f, a, b):
-    x = (b - a) / 2 * (_PANEL_NODES + 1) + a
-    return (b - a) / 2 * np.sum(_PANEL_WEIGHTS * f(x))
+# the benchmark's references settle by 16 panels, and cos(400 s) on [0, 5] by 512
+_HALVINGS = 16  # weight_laplace_integral's halvings before it gives up: 4 * 2^16 panels
 
 
 def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
     """J(lam) = int_0^T w(s) e^{-lam s} ds by adaptive composite panels.
 
-    Panels are halved until the relative change drops below 1e-14; failure to
-    settle within _HALVINGS halvings is reported as an error.
+    Panels are halved until the relative change drops below 1e-14. A sum that
+    is not finite, or not settled after _HALVINGS halvings, raises NumericalError.
     """
-    f = lambda s: w(s) * np.exp(-lam * s)
     # beyond s = 50/lam the integrand is below 2e-22 * sup|w|; cutting the
     # tail keeps the panel count bounded for very stiff modes
     upper = min(T, 50.0 / lam)
-    panels = 4
     prev = None
-    for _ in range(_HALVINGS + 1):
-        edges = np.linspace(0.0, upper, panels + 1)
-        total = math.fsum(
-            _panel_integral(f, edges[i], edges[i + 1]) for i in range(panels)
-        )
+    for halving in range(_HALVINGS + 1):  # 4 panels, then twice as many each time
+        edges = np.linspace(0.0, upper, 4 * 2**halving + 1)
+        half = np.diff(edges) / 2
+        x = half[:, None] * (_PANEL_NODES + 1) + edges[:-1, None]
+        values = half * np.sum(_PANEL_WEIGHTS * (w(x) * np.exp(-lam * x)), axis=1)
+        if not np.isfinite(values).all():  # no halving can settle it
+            raise NumericalError(f"reference integral is not finite (lam={lam}, T={T})")
+        total = math.fsum(values)
         if prev is not None and abs(total - prev) <= 1e-14 * max(1.0, abs(total)):
             return total
         prev = total
-        panels *= 2
     raise NumericalError(
         f"reference integral did not settle after {_HALVINGS} halvings (lam={lam}, T={T})"
     )

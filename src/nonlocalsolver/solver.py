@@ -66,6 +66,8 @@ _NEGLIGIBLE = 2.0**-800
 # bytes a plan's real (N+1, 2, dim) node buffer and its I(z) stage may take;
 # a larger plan is refused before anything is allocated
 _NODE_BUFFER_BYTES = 2**30
+# a float subclass, which numpy compares as a float64: an np.float32 time cannot overflow it
+_FLOAT_MAX = type("FloatMax", (float,), {})(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name, k in (("n", self.n), ("N", self.N)):
-            if not (isinstance(k, (int, np.integer)) and k >= 0):
+            if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and k >= 0):
                 raise ValueError(f"{name} must be an integer >= 0, got {k}")
         if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
             raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
@@ -307,7 +309,7 @@ def _times(ts):
     for t in ts:
         if getattr(t, "ndim", 0) or not (t >= 0):  # not np.ndim: 1 us per time
             raise ValueError(f"time must be a nonnegative number, got {t}")
-        if math.inf > t > sys.float_info.max:
+        if math.inf > t > _FLOAT_MAX:
             raise ValueError(f"time is beyond the float range, got {t}")
     return ts, np.array(ts, dtype=float)
 
@@ -316,6 +318,8 @@ def _solve(problem: NonlocalProblem, config: SolverConfig, ts) -> list:
     """The samples of ts from the three stages of the module docstring."""
     ts, t = _times(ts)
     report, h, z, coef = _nodes(problem, config)
+    if not ts:  # _nodes refused what it would refuse for any times; no solve is needed
+        return []
     r1, exponent = _modal_rows(problem.op, problem.u0, z, not config.use_symmetry)
     nt = len(ts)
     f = np.zeros((-(-nt // _BLOCK) * _BLOCK, len(z)), dtype=complex)

@@ -590,6 +590,17 @@ class TestMain:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith(f"config error: cannot write {str(tmp_path)!r}:")
 
+    def test_config_with_byte_order_mark(self, tmp_path, capsys):
+        # an editor may start a UTF-8 file with U+FEFF; it is not part of a key
+        cfg, text = tmp_path / "p.cfg", BASE.replace("diagonal:1", "diagonal:5,9")
+        cfg.write_text(text, encoding="utf-8")
+        assert main(["solve", "--config", str(cfg)]) == 0
+        want = capsys.readouterr()
+        cfg.write_text(text, encoding="utf-8-sig")
+        assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
+        assert main(["solve", "--config", str(cfg)]) == 0
+        assert capsys.readouterr() == want
+
     def test_existence_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
         cfg.write_text("operator = diagonal:1\nT = 1\nweight = const:5\n"

@@ -50,6 +50,27 @@ class TestWeightLaplaceIntegral:
         with pytest.raises(NumericalError, match="did not settle after 1 halvings"):
             weight_laplace_integral(w, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_weight_refused_at_once(self, monkeypatch, bad):
+        # a sum that is not finite can never settle, so the first pass refuses
+        # it; the cap of 2 halvings keeps the test fast where it is retried
+        monkeypatch.setattr(oracle, "_HALVINGS", 2)
+        w = WeightFunction.from_callable(lambda s: np.where(s > 0.5, bad, 1.0))
+        with pytest.raises(NumericalError, match="reference integral is not finite"):
+            weight_laplace_integral(w, 1.0, 1.0)
+
+    def test_weight_called_once_per_halving(self):
+        # each halving evaluates w once, on the Gauss points of all its panels
+        shapes = []
+
+        def w(s):
+            shapes.append(s.shape)
+            return np.cos(s)
+
+        got = weight_laplace_integral(WeightFunction.from_callable(w, 1.0), 2.0, 1.0)
+        assert got == weight_laplace_integral(WeightFunction.cos(), 2.0, 1.0)
+        assert shapes == [(4 * 2**k, 10) for k in range(len(shapes))]
+
 
 class TestModeReference:
     """One scalar mode, through reference_solution on a 1-d DiagonalOperator."""
@@ -84,6 +105,15 @@ class TestModeReference:
                   [np.array([0.5])], np.array([[0.5], [1.0]])):
             with pytest.raises(ValueError):
                 self._mode(1.0, w, 1.0, 1.0, t)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_low_precision_times(self, dtype):
+        # no overflow warning from the float range test (pytest makes it an error)
+        op, w = DiagonalOperator([1.0, 4.0]), WeightFunction.cos()
+        want = reference_solution(op, w, 1.0, [1.0, 2.0], [0.5, 0.25])
+        for t in (np.array([0.5, 0.25], dtype=dtype), [dtype(0.5), dtype(0.25)]):
+            assert np.array_equal(reference_solution(op, w, 1.0, [1.0, 2.0], t), want)
+        assert np.array_equal(reference_solution(op, w, 1.0, [1.0, 2.0], dtype(0.5)), want[0])
 
 
 class TestReferenceSolution:

@@ -96,7 +96,9 @@ class TestProblemValidation:
 
     def test_config_rejects_negative(self):
         # each refusal names its field, so the CLI can report it under one key
-        for n, N, field in ((-1, 64, "n"), (16.5, 64, "n"), (16, -1, "N"), (16, 64.5, "N")):
+        # a bool is an int to Python, but not a count
+        for n, N, field in ((-1, 64, "n"), (16.5, 64, "n"), (True, 64, "n"), (16, -1, "N"),
+                            (16, 64.5, "N"), (16, True, "N"), (16, False, "N")):
             with pytest.raises(ValueError, match=f"^{field} must be an integer >= 0, got "):
                 SolverConfig(n=n, N=N)
         for h in (0.0, math.inf):
@@ -290,6 +292,19 @@ class TestSolveAt:
             solve_at(problem, SolverConfig(n=4, N=8), np.array([0.5]))
         assert problem.op.resolvent_calls == 0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16])
+    def test_low_precision_time(self, dtype):
+        # the float range test compares at double precision, so it casts no
+        # time down and warns of no overflow (pytest makes that an error)
+        problem = _scalar_problem()
+        config = SolverConfig(n=4, N=8)
+        want = solve_at(problem, config, 0.5)
+        for sample in (solve_at(problem, config, dtype(0.5)),
+                       solve_many(problem, config, [dtype(0.5)])[0],
+                       solve_many(problem, config, np.array([0.5], dtype=dtype))[0]):
+            assert type(sample.t) is dtype
+            assert np.array_equal(sample.value, want.value)
+
     def test_rough_condition_warning_points_at_the_caller(self):
         # sup|w| = 1 > 1/T: the warning names this file from either entry point
         problem = _scalar_problem(lam=2.0, w=WeightFunction.cos(), T=1.5)
@@ -413,6 +428,12 @@ class TestSolveMany:
             for use_symmetry in (True, False):
                 assert solve_many(problem, SolverConfig(n=4, N=16, use_symmetry=use_symmetry),
                                   []) == []
+            # no time needs a node, so no resolvent is solved
+            assert op.resolvent_calls == 0
+        # the scalar stage still runs, so an empty list is refused where a
+        # nonempty one would be
+        with pytest.raises(ExistenceError):
+            solve_many(_scalar_problem(w=WeightFunction.constant(5.0)), SolverConfig(), [])
 
     def test_any_iterable_of_times(self):
         # a generator, a tuple or an array of times gives the samples of the

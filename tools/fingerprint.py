@@ -2,6 +2,7 @@
 
     python tools/fingerprint.py SRC_DIR
     python tools/fingerprint.py --cli SRC_DIR
+    python tools/fingerprint.py --oracle SRC_DIR
 
 imports nonlocalsolver from SRC_DIR (for instance the src directory of
 another checkout) and runs solve_many on 192 plans: 3 operators x 4 weights
@@ -18,6 +19,15 @@ workload for seeds 1 to 3 (perfbench/workloads.py, CliSmall, read from this
 checkout), each through nonlocalsolver.cli.main in this process. It prints the
 call count, with the number that exited nonzero, and one SHA-256 over every
 call's exit code and standard output.
+
+With --oracle it fingerprints the reference solver instead: the Laplace
+integral J(lam) of weight_laplace_integral for five weights (cos, cos(s^2), a
+constant, a quadratic and cos(400 s)), five horizons T and 23 lam from 1e-3 to
+1e8; reference_solution on the 3 operators x 4 weights above at 3 horizons and
+4 times; and every reference that the three benchmark workloads compute for
+seeds 1 to 3 (perfbench/workloads.py, read from this checkout). It prints the
+count of values, with the number refused, and one SHA-256 over all of them; a
+refusal contributes its error instead.
 """
 
 import contextlib
@@ -98,11 +108,62 @@ def cli_calls(src):
     print(f"sha256 {digest.hexdigest()}")
 
 
+def _feed(digest, value):
+    """Hash a float, an array, or a list or tuple of them, nested."""
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            _feed(digest, item)
+    else:
+        digest.update(np.asarray(value, dtype=float).tobytes())
+
+
+def oracle_values(src):
+    sys.path[:0] = [src, PERFBENCH]
+    import nonlocalsolver as ns
+    from nonlocalsolver.oracle import weight_laplace_integral
+    from workloads import WORKLOADS
+
+    digest = hashlib.sha256()
+    values = refused = 0
+
+    def record(compute):
+        nonlocal values, refused
+        values += 1
+        try:
+            _feed(digest, compute())
+        except Exception as e:  # a refusal is part of the fingerprint
+            digest.update(f"{type(e).__name__}: {e}".encode())
+            refused += 1
+
+    weights = (ns.WeightFunction.cos(), ns.WeightFunction.cos_square(),
+               ns.WeightFunction.constant(-0.5),
+               ns.WeightFunction.polynomial([0.3, -0.1, 0.05]),
+               ns.WeightFunction.from_callable(lambda s: np.cos(400.0 * s), 1.0))
+    for w, T, lam in itertools.product(weights, (0.5, 1.0, math.pi / 2, 2.0, 5.0),
+                                       np.logspace(-3, 8, 23).tolist()):
+        record(lambda: weight_laplace_integral(w, lam, T))
+    operators = (ns.DiagonalOperator([2.0, 9.0, 30.0]), ns.Laplacian1D(40),
+                 ns.SineSpectralOperator(30))
+    for op, w, T in itertools.product(operators, weights[:4], (0.5, 1.0, 2.0)):
+        u0 = np.cos(np.arange(op.dim) + 0.5)
+        record(lambda: ns.reference_solution(op, w, T, u0, [0.0, 0.3, 1.0, math.inf]))
+    for seed, workload in itertools.product((1, 2, 3), WORKLOADS.values()):
+        bench = workload(seed)
+        before = set(vars(bench))
+        bench.compute_references()
+        for name in sorted(set(vars(bench)) - before):
+            record(lambda: getattr(bench, name))
+    print(f"values {values} (refused {refused})")
+    print(f"sha256 {digest.hexdigest()}")
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--cli"] and len(args) == 2:
         cli_calls(args[1])
+    elif args[:1] == ["--oracle"] and len(args) == 2:
+        oracle_values(args[1])
     elif len(args) == 1:
         main(args[0])
     else:
-        sys.exit("usage: python tools/fingerprint.py [--cli] SRC_DIR")
+        sys.exit("usage: python tools/fingerprint.py [--cli | --oracle] SRC_DIR")
