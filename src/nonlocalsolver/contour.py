@@ -40,8 +40,6 @@ class SpectralBounds:
 class Contour:
     """Integration hyperbola with vertex a_I, slope axis b_I, strip width d1."""
 
-    bounds: SpectralBounds
-    rho1: float
     a_I: float
     b_I: float
     d1: float
@@ -74,19 +72,13 @@ def make_contour(bounds: SpectralBounds, rho1: float = 0.0) -> Contour:
     half = d1 / 2 + bounds.phi
     a_I = r * math.cos(half)
     b_I = r * math.sin(half)
-    return Contour(bounds=bounds, rho1=rho1, a_I=a_I, b_I=b_I, d1=d1)
+    return Contour(a_I=a_I, b_I=b_I, d1=d1)
 
 
 def make_self_adjoint_contour(rho0: float) -> Contour:
-    """Contour for a self-adjoint positive definite operator; SpectralBounds checks rho0."""
-    a = rho0 / math.sqrt(2.0)
-    return Contour(
-        bounds=SpectralBounds(rho0=rho0, phi=0.0),
-        rho1=0.0,
-        a_I=a,
-        b_I=a,
-        d1=math.pi / 2,
-    )
+    """Contour for a self-adjoint positive definite operator."""
+    a = positive_finite("rho0", rho0) / math.sqrt(2.0)
+    return Contour(a_I=a, b_I=a, d1=math.pi / 2)
 
 
 def contour_point(c: Contour, zeta) -> PathPoint:

@@ -1,6 +1,8 @@
-"""Exception types, and the rule 0 < v < inf (NaN refused), shared across the package."""
+"""Exception types, and the three input rules shared across the package."""
 
 import math
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -19,3 +21,16 @@ def positive_finite(name, v):
     if not (0.0 < v < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {v}")
     return v
+
+
+def count(name, v, low):
+    if isinstance(v, bool) or not (isinstance(v, (int, np.integer)) and v >= low):
+        raise ValueError(f"{name} must be an integer >= {low}, got {v}")
+    return v
+
+
+def real_array(name, v):
+    # numpy's cast would only warn and keep the real part; the folded sum needs real data
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real")
+    return np.asarray(v, dtype=float)

@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .contour import SpectralBounds
-from .errors import NumericalError, positive_finite
+from .errors import NumericalError, count, positive_finite, real_array
 
 
 class SectorialOperator(ABC):
@@ -76,7 +76,7 @@ class DiagonalOperator(SectorialOperator):
     basis otherwise."""
 
     def __init__(self, eigenvalues):
-        lam = np.asarray(eigenvalues, dtype=float)
+        lam = real_array("eigenvalues", eigenvalues)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
         for v in (lam.min(), lam.max()):  # a NaN anywhere makes both NaN
@@ -114,8 +114,7 @@ class Laplacian1D(DiagonalOperator):
     on the grid, independent of S."""
 
     def __init__(self, m: int):
-        if not (isinstance(m, (int, np.integer)) and m >= 2):
-            raise ValueError(f"need an integer number m >= 2 of interior points, got m = {m}")
+        count("m", m, 2)
         self.dx = 1.0 / (m + 1)
         super().__init__(self.eigenvalue(np.arange(1, m + 1)))
 
@@ -154,8 +153,7 @@ class SineSpectralOperator(DiagonalOperator):
     """
 
     def __init__(self, modes: int):
-        if not (isinstance(modes, (int, np.integer)) and modes >= 1):
-            raise ValueError(f"need an integer number of modes >= 1, got {modes}")
+        count("modes", modes, 1)
         super().__init__((np.arange(1, modes + 1) * math.pi) ** 2)
 
     def evaluate(self, coeffs, x):

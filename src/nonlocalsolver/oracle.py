@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, real_array
 from .operators import DiagonalOperator
 from .quadrature import WeightFunction
 from .solver import NonlocalProblem, _times
@@ -39,10 +39,15 @@ def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
         edges = np.linspace(0.0, upper, 4 * 2**halving + 1)
         half = np.diff(edges) / 2
         x = half[:, None] * (_PANEL_NODES + 1) + edges[:-1, None]
-        values = half * np.sum(_PANEL_WEIGHTS * (w(x) * np.exp(-lam * x)), axis=1)
-        if not np.isfinite(values).all():  # no halving can settle it
+        with np.errstate(all="ignore"):  # an overflow is refused below, in silence
+            wx = real_array(f"weight {w!r}", w(x))
+            values = half * np.sum(_PANEL_WEIGHTS * (wx * np.exp(-lam * x)), axis=1)
+        try:  # finite panels can still sum past the float range
+            total = math.fsum(values) if np.isfinite(values).all() else math.inf
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):  # no halving can settle it
             raise NumericalError(f"reference integral is not finite (lam={lam}, T={T})")
-        total = math.fsum(values)
         if prev is not None and abs(total - prev) <= 1e-14 * max(1.0, abs(total)):
             return total
         prev = total

@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import positive_finite
+from .errors import count, positive_finite, real_array
 
 # I(z) is cut at Re(z) s = _TAIL_EXPONENT: the tail beyond is at most
 # e^{-37} sup|w| / Re z, below 8.5e-17 wherever the solvability condition
@@ -48,8 +48,7 @@ def _panel_span(n: int) -> float:
 @lru_cache(maxsize=None)
 def gauss_legendre(n: int) -> GaussRule:
     """The (n+1)-point Gauss-Legendre rule, nodes ascending; cached per order."""
-    if n < 0:
-        raise ValueError(f"rule order must be nonnegative, got {n}")
+    count("n", n, 0)
     nodes, weights = np.polynomial.legendre.leggauss(n + 1)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -59,8 +58,8 @@ def gauss_legendre(n: int) -> GaussRule:
 class WeightFunction:
     """The weight w(s) of the nonlocal condition u(0) + int_0^T w(s)u(s)ds = u0.
 
-    Built through the class-method constructors, which refuse a non-finite
-    constant, coefficient or sup|w| hint; evaluation is vectorized.
+    Built through the class-method constructors, which refuse complex data and
+    a non-finite constant, coefficient or sup|w| hint; evaluation is vectorized.
     """
 
     def __init__(self, kind, fn, label, sup_hint=None):
@@ -83,7 +82,7 @@ class WeightFunction:
 
     @classmethod
     def constant(cls, c: float):
-        c = float(c)
+        c = float(real_array("weight constant", c))
         return cls("constant", lambda s: np.full_like(s, c), f"const:{c}",
                    sup_hint=abs(c))
 
@@ -99,7 +98,7 @@ class WeightFunction:
 
     @classmethod
     def polynomial(cls, coeffs):
-        c = [float(a) for a in coeffs]
+        c = real_array("weight polynomial coefficients", list(coeffs)).tolist()
         if not all(map(math.isfinite, c)):
             raise ValueError(f"weight polynomial coefficients must be finite, got {c}")
         poly = np.polynomial.Polynomial(c)
@@ -120,7 +119,8 @@ class WeightFunction:
         if self.sup_norm_hint is not None:
             return self.sup_norm_hint, False
         s = np.linspace(0.0, T, 2048)
-        return float(np.max(np.abs(self(s)))), True
+        with np.errstate(all="ignore"):  # an inf or NaN maximum fails sharp_ok, in silence
+            return float(np.max(np.abs(self(s)))), True
 
 
 def integral_bytes(n: int, ratio: float) -> int:
@@ -181,10 +181,6 @@ def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
     inner = np.exp(np.multiply.outer(-zL, x)) * np.multiply.outer(L / 2.0, rule.weights)
     # the points of the zero-weighted panels are moved to s_max <= T
     s = np.minimum(np.multiply.outer(L, np.add.outer(p, x)), s_max[:, None, None])
-    ws = w(s)
-    if np.iscomplexobj(ws):
-        # the solver's folded sum over the contour assumes real data
-        raise ValueError(f"weight {w!r} must be real-valued")
-    ws = np.broadcast_to(ws, s.shape)
+    ws = np.broadcast_to(real_array(f"weight {w!r}", w(s)), s.shape)
     out = np.matmul(outer[:, None, :], np.matmul(ws, inner[:, :, None])).reshape(z.shape)
     return out if out.ndim else complex(out)

@@ -46,7 +46,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contour import Contour, contour_point, make_contour
-from .errors import ConfigError, ExistenceError, NumericalError, positive_finite
+from .errors import (ConfigError, ExistenceError, NumericalError, count, positive_finite,
+                     real_array)
 from .operators import SectorialOperator
 from .quadrature import WeightFunction, gauss_legendre, integral_bytes, nonlocal_integral
 
@@ -149,9 +150,7 @@ class NonlocalProblem:
 
     def __post_init__(self):
         positive_finite("horizon T", self.T)
-        if np.iscomplexobj(self.u0):  # the folded sum assumes real data
-            raise ValueError("u0 must be real")
-        self.u0 = np.asarray(self.u0, dtype=float)
+        self.u0 = real_array("u0", self.u0)
         if self.u0.shape != (self.op.dim,):
             raise ValueError(
                 f"u0 length {self.u0.shape} does not match operator dim {self.op.dim}"
@@ -169,9 +168,8 @@ class SolverConfig:
     use_symmetry: bool = True
 
     def __post_init__(self):
-        for name, k in (("n", self.n), ("N", self.N)):
-            if isinstance(k, bool) or not (isinstance(k, (int, np.integer)) and k >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {k}")
+        count("n", self.n, 0)
+        count("N", self.N, 0)
         if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
             raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
         if not (0.0 <= self.rho1 < math.inf):

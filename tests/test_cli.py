@@ -365,6 +365,18 @@ class TestMain:
         err = capsys.readouterr().err
         assert "config error: key weight" in err and err.count("key ") == 1
 
+    @pytest.mark.parametrize("weight", ["poly:1e308,1e308", "poly:1e308,-1e308,1e308"])
+    def test_overflowing_weight_refused_in_silence(self, tmp_path, capsys, weight):
+        # sampling w for sup|w| overflows; the inf or NaN maximum is refused
+        # by the solvability check, with no numpy warning after the refusal
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(BASE.replace("diagonal:1", "diagonal:2,5").replace("T = 1.0", "T = 3")
+                       .replace("weight = cos", f"weight = {weight}"))
+        assert main(["solve", "--config", str(cfg)]) == 3
+        assert capsys.readouterr().err == (
+            "existence condition violated: solvability condition violated: "
+            "sup|w| = inf >= a_I = 1.4142135623730951\n")
+
     @pytest.mark.parametrize("operator", ["sine_spectral:8", "laplacian1d:8"],
                              ids=["sine_spectral", "laplacian1d"])
     def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):
@@ -410,8 +422,8 @@ class TestMain:
         assert err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, message", [
-        ("laplacian1d:1", "config error: key operator: need"),
-        ("sine_spectral:0", "config error: key operator: need"),
+        ("laplacian1d:1", "config error: key operator: m must be an integer >= 2, got 1"),
+        ("sine_spectral:0", "config error: key operator: modes must be an integer >= 1, got 0"),
         ("laplacian1d", "config error: key operator: expected an integer"),
         ("sine_spectral", "config error: key operator: expected an integer"),
     ], ids=["m1", "modes0", "m-missing", "modes-missing"])

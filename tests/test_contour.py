@@ -53,18 +53,18 @@ def test_make_contour_phi_zero_matches_self_adjoint():
     assert sa.b_I == pytest.approx(c.b_I, abs=2e-16)
 
 
-def _system_residuals(c):
-    """Residuals of the two defining equations the closed form came from."""
-    b = c.bounds
+def _system_residuals(c, b, rho1):
+    """Residuals of the two defining equations the closed form came from, for
+    the contour c that make_contour built from bounds b and rho1."""
     r1 = c.a_I * math.cos(c.d1 / 2) + c.b_I * math.sin(c.d1 / 2) - b.rho0
     # the innermost shifted hyperbola, at angle d1 + phi, passes through (rho1, 0)
-    r2 = math.hypot(b.rho0, b.b0) * math.cos(c.d1 + b.phi) - c.rho1
+    r2 = math.hypot(b.rho0, b.b0) * math.cos(c.d1 + b.phi) - rho1
     return r1, r2
 
 
 def test_make_contour_satisfies_defining_system():
-    c = make_contour(SpectralBounds(rho0=math.pi**2, phi=0.3), rho1=math.pi**2 / 2)
-    r1, r2 = _system_residuals(c)
+    b, rho1 = SpectralBounds(rho0=math.pi**2, phi=0.3), math.pi**2 / 2
+    r1, r2 = _system_residuals(make_contour(b, rho1=rho1), b, rho1)
     assert abs(r1) <= 1e-12
     assert abs(r2) <= 1e-12
 
@@ -77,8 +77,8 @@ def test_make_contour_satisfies_defining_system():
     (0.1, 0.05, 0.02),
 ])
 def test_defining_system_residuals_grid(rho0, phi, rho1):
-    c = make_contour(SpectralBounds(rho0=rho0, phi=phi), rho1=rho1)
-    r1, r2 = _system_residuals(c)
+    b = SpectralBounds(rho0=rho0, phi=phi)
+    r1, r2 = _system_residuals(make_contour(b, rho1=rho1), b, rho1)
     assert abs(r1) <= 1e-12 * max(1.0, rho0)
     assert abs(r2) <= 1e-12 * max(1.0, rho0)
 
@@ -131,7 +131,7 @@ def test_monotonicity_in_rho1():
 def test_vertex_right_of_inner_line():
     for rho1 in (0.0, 1.0, 5.0):
         c = make_contour(SpectralBounds(rho0=9.0, phi=0.4), rho1=rho1)
-        assert c.a_I > c.rho1
+        assert c.a_I > rho1
 
 
 def test_self_adjoint_contour():
@@ -153,8 +153,7 @@ def test_contour_point_at_vertex():
 
 
 def test_contour_point_scalar_values():
-    c = Contour(bounds=SpectralBounds(rho0=1.0), rho1=0.0,
-                a_I=1.0, b_I=2.0, d1=math.pi / 2)
+    c = Contour(a_I=1.0, b_I=2.0, d1=math.pi / 2)
     p = contour_point(c, 1.0)
     assert p.z == pytest.approx(1.5430806348152437 - 2.3504023872876029j, rel=1e-15)
     assert p.dz == pytest.approx(math.sinh(1.0) - 2j * math.cosh(1.0), rel=1e-15)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestWeightLaplaceIntegral:
         w = WeightFunction.from_callable(lambda s: np.where(s > 0.5, bad, 1.0))
         with pytest.raises(NumericalError, match="reference integral is not finite"):
             weight_laplace_integral(w, 1.0, 1.0)
+
+    @pytest.mark.parametrize("c", [5e307, 1e308])
+    def test_overflowing_sum_refused_without_warning(self, c):
+        # at 5e307 the finite panels sum past the float max inside math.fsum,
+        # at 1e308 already in a panel's row sum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError) as e:
+                weight_laplace_integral(WeightFunction.constant(c), 1e-3, 5.0)
+        assert str(e.value) == "reference integral is not finite (lam=0.001, T=5.0)"
 
     def test_weight_called_once_per_halving(self):
         # each halving evaluates w once, on the Gauss points of all its panels

@@ -3,6 +3,7 @@
     python tools/fingerprint.py SRC_DIR
     python tools/fingerprint.py --cli SRC_DIR
     python tools/fingerprint.py --oracle SRC_DIR
+    python tools/fingerprint.py --refusals SRC_DIR
 
 imports nonlocalsolver from SRC_DIR (for instance the src directory of
 another checkout) and runs solve_many on 192 plans: 3 operators x 4 weights
@@ -28,6 +29,17 @@ constant, a quadratic and cos(400 s)), five horizons T and 23 lam from 1e-3 to
 seeds 1 to 3 (perfbench/workloads.py, read from this checkout). It prints the
 count of values, with the number refused, and one SHA-256 over all of them; a
 refusal contributes its error instead.
+
+With --refusals it feeds a fixed list of bad inputs to the public
+constructors and entry points: counts (True, 2.5 and one below the bound) for
+SolverConfig's n and N, Laplacian1D, SineSpectralOperator and gauss_legendre;
+complex data (1j, np.complex128(0.5+1j) and a complex array) as u0,
+eigenvalues, a constant or polynomial weight, and a from_callable weight in
+solve_at, weight_laplace_integral and reference_solution; and bad values of T,
+t, rho0, rho1, n > 128, WindowStep, FixedStep, empty eigenvalues and a NaN
+constant weight. A warning is raised as an error. It prints one line per input,
+"label -> Type: message" or "label -> accepted", and one SHA-256 over all of
+them, so that two trees can be compared line by line.
 """
 
 import contextlib
@@ -157,13 +169,97 @@ def oracle_values(src):
     print(f"sha256 {digest.hexdigest()}")
 
 
+def _refusal_cases(ns):
+    """(label, call) for every bad input that --refusals feeds."""
+    op, T, u0 = ns.DiagonalOperator([2.0, 5.0]), 1.0, [1.0, 0.0]
+    zero = ns.WeightFunction.zero()
+
+    def solve(w=zero, t=0.5, **config):
+        problem = ns.NonlocalProblem(op=op, T=T, w=w, u0=u0)
+        return ns.solve_at(problem, ns.SolverConfig(n=8, N=16, **config), t)
+
+    cases = []
+    counts = (("SolverConfig(n={})", 0, lambda v: ns.SolverConfig(n=v)),
+              ("SolverConfig(N={})", 0, lambda v: ns.SolverConfig(N=v)),
+              ("Laplacian1D({})", 2, ns.Laplacian1D),
+              ("SineSpectralOperator({})", 1, ns.SineSpectralOperator),
+              ("gauss_legendre({})", 0, ns.gauss_legendre))
+    for label, low, make in counts:
+        for v in (True, 2.5, low - 1):
+            cases.append((label.format(v), lambda make=make, v=v: make(v)))
+    complex_data = (("1j", 1j, lambda s: 0.3j),
+                    ("complex128", np.complex128(0.5 + 1j),
+                     lambda s: np.complex128(0.15 + 0.3j)),
+                    ("complex array", np.array([0.5, 0.3 + 1j]),
+                     lambda s: 0.3 * np.exp(1j * s)))
+    for name, v, fn in complex_data:
+        w = ns.WeightFunction.from_callable(fn)
+        cases += [
+            (f"NonlocalProblem(u0={name})",
+             lambda v=v: ns.NonlocalProblem(op=op, T=T, w=zero, u0=v)),
+            (f"reference_solution(u0={name})",
+             lambda v=v: ns.reference_solution(op, zero, T, v, 0.5)),
+            (f"DiagonalOperator({name})", lambda v=v: ns.DiagonalOperator(v)),
+            (f"WeightFunction.constant({name})", lambda v=v: ns.WeightFunction.constant(v)),
+            (f"WeightFunction.polynomial({name})",
+             lambda v=v: ns.WeightFunction.polynomial(np.atleast_1d(v))),
+            (f"solve_at(w={name})", lambda w=w: solve(w=w)),
+            (f"weight_laplace_integral(w={name})",
+             lambda w=w: ns.oracle.weight_laplace_integral(w, 2.0, T)),
+            (f"reference_solution(w={name})",
+             lambda w=w: ns.reference_solution(op, w, T, u0, 0.5)),
+        ]
+    cases += [
+        ("NonlocalProblem(T=-1.0)", lambda: ns.NonlocalProblem(op=op, T=-1.0, w=zero, u0=u0)),
+        ("NonlocalProblem(T=inf)",
+         lambda: ns.NonlocalProblem(op=op, T=math.inf, w=zero, u0=u0)),
+        ("solve_at(t=-1.0)", lambda: solve(t=-1.0)),
+        ("solve_at(t=nan)", lambda: solve(t=math.nan)),
+        ("solve_at(t=array([0.5]))", lambda: solve(t=np.array([0.5]))),
+        ("solve_at(t=10**400)", lambda: solve(t=10**400)),
+        ("SpectralBounds(rho0=0.0)", lambda: ns.SpectralBounds(rho0=0.0)),
+        ("SpectralBounds(rho0=inf)", lambda: ns.SpectralBounds(rho0=math.inf)),
+        ("make_self_adjoint_contour(0.0)", lambda: ns.make_self_adjoint_contour(0.0)),
+        ("make_self_adjoint_contour(nan)", lambda: ns.make_self_adjoint_contour(math.nan)),
+        ("SolverConfig(rho1=-1.0)", lambda: ns.SolverConfig(rho1=-1.0)),
+        ("solve_at(rho1=rho0)", lambda: solve(rho1=2.0)),
+        ("SolverConfig(n=129)", lambda: ns.SolverConfig(n=129)),
+        ("WindowStep(0.0)", lambda: ns.WindowStep(0.0)),
+        ("FixedStep(inf)", lambda: ns.FixedStep(math.inf)),
+        ("DiagonalOperator([])", lambda: ns.DiagonalOperator([])),
+        ("WeightFunction.constant(nan)", lambda: ns.WeightFunction.constant(math.nan)),
+    ]
+    return cases
+
+
+def refusals(src):
+    sys.path.insert(0, src)
+    import nonlocalsolver as ns
+
+    digest = hashlib.sha256()
+    for label, call in _refusal_cases(ns):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                call()
+                outcome = "accepted"
+            except Exception as e:  # the refusal is the output
+                outcome = f"{type(e).__name__}: {e}"
+        line = f"{label} -> {outcome}"
+        print(line)
+        digest.update(f"{line}\n".encode())
+    print(f"sha256 {digest.hexdigest()}")
+
+
 if __name__ == "__main__":
     args = sys.argv[1:]
     if args[:1] == ["--cli"] and len(args) == 2:
         cli_calls(args[1])
     elif args[:1] == ["--oracle"] and len(args) == 2:
         oracle_values(args[1])
+    elif args[:1] == ["--refusals"] and len(args) == 2:
+        refusals(args[1])
     elif len(args) == 1:
         main(args[0])
     else:
-        sys.exit("usage: python tools/fingerprint.py [--cli | --oracle] SRC_DIR")
+        sys.exit("usage: python tools/fingerprint.py [--cli | --oracle | --refusals] SRC_DIR")
