@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericalError, real_array
+from .errors import NumericalError, positive_finite, real_array
 from .operators import DiagonalOperator
 from .quadrature import WeightFunction
 from .solver import NonlocalProblem, _times
@@ -25,49 +25,48 @@ _PANEL_NODES, _PANEL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 _HALVINGS = 16  # weight_laplace_integral's halvings before it gives up: 4 * 2^16 panels
 
 
-def weight_laplace_integral(w: WeightFunction, lam: float, T: float) -> float:
-    """J(lam) = int_0^T w(s) e^{-lam s} ds by adaptive composite panels.
-
-    Panels are halved until the relative change drops below 1e-14. A sum that
-    is not finite, or not settled after _HALVINGS halvings, raises NumericalError.
+@np.errstate(all="ignore")  # an overflow is refused below, in silence
+def weight_laplace_integral(w: WeightFunction, lam, T: float):
+    """J(lam) = int_0^T w(s) e^{-lam s} ds by adaptive composite panels, for a
+    scalar lam (a float) or an array of lam (same shape). Ascending groups of 1,
+    1, 2, 4, ... lam have their panels halved until each sum moves by < 1e-14,
+    relative; a sum not finite or unsettled after _HALVINGS halvings raises NumericalError.
     """
-    # beyond s = 50/lam the integrand is below 2e-22 * sup|w|; cutting the
-    # tail keeps the panel count bounded for very stiff modes
-    upper = min(T, 50.0 / lam)
-    prev = None
-    for halving in range(_HALVINGS + 1):  # 4 panels, then twice as many each time
-        edges = np.linspace(0.0, upper, 4 * 2**halving + 1)
-        half = np.diff(edges) / 2
-        x = half[:, None] * (_PANEL_NODES + 1) + edges[:-1, None]
-        with np.errstate(all="ignore"):  # an overflow is refused below, in silence
-            wx = real_array(f"weight {w!r}", w(x))
-            values = half * np.sum(_PANEL_WEIGHTS * (wx * np.exp(-lam * x)), axis=1)
-        try:  # finite panels can still sum past the float range
-            total = math.fsum(values) if np.isfinite(values).all() else math.inf
-        except OverflowError:
-            total = math.inf
-        if not math.isfinite(total):  # no halving can settle it
-            raise NumericalError(f"reference integral is not finite (lam={lam}, T={T})")
-        if prev is not None and abs(total - prev) <= 1e-14 * max(1.0, abs(total)):
-            return total
-        prev = total
-    raise NumericalError(
-        f"reference integral did not settle after {_HALVINGS} halvings (lam={lam}, T={T})"
-    )
-
-
-def _mode_integral(w: WeightFunction, lam: float, T: float) -> float:
-    """J(lam), cross-checked for w = cos against its elementary antiderivative."""
-    J = weight_laplace_integral(w, lam, T)
-    if w.kind == "cos":
-        closed = (lam - math.exp(-lam * T) * (lam * math.cos(T) - math.sin(T))) / (
-            1.0 + lam * lam
-        )
-        if abs(J - closed) > 1e-13 * max(1.0, abs(closed)):
-            raise NumericalError(
-                f"adaptive integral {J!r} disagrees with the closed form {closed!r}"
-            )
-    return J
+    lams = real_array("lam", lam).ravel()
+    for v in (lams.min(), lams.max()):  # a NaN anywhere makes both NaN
+        positive_finite("lam", v)
+    positive_finite("horizon T", T)
+    J = [math.inf] * lams.size  # each lam's last sum; live: a group's unsettled lam
+    for live in np.split(np.argsort(lams), 2 ** np.arange((lams.size - 1).bit_length())):
+        for halving in range(_HALVINGS + 1):  # 4 panels, then twice as many each time
+            # a call of w holds at most 4 * 2^_HALVINGS panels, one lam's last halving
+            P, chunk, unsettled = 4 * 2**halving, 2 ** (_HALVINGS - halving), []
+            for part in (live[i:i + chunk] for i in range(0, len(live), chunk)):
+                # past s = 50/lam the integrand is below 2e-22 sup|w|, so no panel goes there
+                edges = np.linspace(0.0, np.minimum(T, 50.0 / lams[part]), P + 1).T
+                half = np.diff(edges) / 2
+                x = (half[..., None] * (_PANEL_NODES + 1) + edges[:, :-1, None]).reshape(-1, 10)
+                wx = real_array(f"weight {w!r}", w(x))
+                wx = wx * np.exp(-lams[part].repeat(P)[:, None] * x)
+                values = half * np.sum(_PANEL_WEIGHTS * wx, axis=1).reshape(half.shape)
+                for k, row in zip(part, values.tolist()):
+                    try:  # finite panels can still sum past the float range
+                        total = math.fsum(row)
+                    except (OverflowError, ValueError):  # ValueError: inf - inf
+                        total = math.inf
+                    if not math.isfinite(total):  # no halving can settle it
+                        raise NumericalError(
+                            f"reference integral is not finite (lam={lams[k]}, T={T})")
+                    if abs(total - J[k]) > 1e-14 * max(1.0, abs(total)):
+                        unsettled.append(k)
+                    J[k] = total
+            live = unsettled
+            if not live:
+                break
+        else:
+            raise NumericalError(f"reference integral did not settle after {_HALVINGS} "
+                                 f"halvings (lam={lams[live[0]]}, T={T})")
+    return J[0] if np.ndim(lam) == 0 else np.reshape(J, np.shape(lam))
 
 
 def reference_solution(op, w: WeightFunction, T: float, u0, t) -> np.ndarray:
@@ -88,6 +87,13 @@ def reference_solution(op, w: WeightFunction, T: float, u0, t) -> np.ndarray:
     u0 = NonlocalProblem(op=op, T=T, w=w, u0=u0).u0
     scalar = np.ndim(t) == 0
     ts = _times([t] if scalar else t)[1]
-    den = np.array([1.0 + _mode_integral(w, lam, T) for lam in op.eigenvalues.tolist()])
-    rows = np.exp(-np.multiply.outer(ts, op.eigenvalues)) * op.to_modal(u0) / den
+    lam, J = op.eigenvalues, weight_laplace_integral(w, op.eigenvalues, T)
+    if w.kind == "cos":  # J against its elementary antiderivative
+        with np.errstate(over="ignore"):  # lam * lam past the float max makes closed 0
+            closed = (lam - np.exp(-lam * T) * (lam * math.cos(T) - math.sin(T))) / (1 + lam * lam)
+        off = np.abs(J - closed) > 1e-13 * np.maximum(1.0, np.abs(closed))
+        if off.any():
+            raise NumericalError(f"adaptive integral {J[off][0]} disagrees with the closed "
+                                 f"form {closed[off][0]}")
+    rows = np.exp(-np.multiply.outer(ts, lam)) * op.to_modal(u0) / (1.0 + J)
     return op.from_modal(rows[0] if scalar else rows)

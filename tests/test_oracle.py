@@ -82,6 +82,67 @@ class TestWeightLaplaceIntegral:
         assert got == weight_laplace_integral(WeightFunction.cos(), 2.0, 1.0)
         assert shapes == [(4 * 2**k, 10) for k in range(len(shapes))]
 
+    @pytest.mark.parametrize("lam, T, field", [
+        (-1.0, 1.0, "lam"), (0.0, 1.0, "lam"), (math.inf, 1.0, "lam"), (math.nan, 1.0, "lam"),
+        ([2.0, -1.0], 1.0, "lam"), ([math.nan, 2.0], 1.0, "lam"), ([2.0, math.inf], 1.0, "lam"),
+        (2.0, -1.0, "horizon T"), (2.0, 0.0, "horizon T"), (2.0, math.inf, "horizon T"),
+        (2.0, math.nan, "horizon T"),
+    ])
+    def test_bad_lam_or_horizon_refused(self, lam, T, field):
+        # refused by name before any panel is summed, for a scalar lam or an array
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got "):
+            weight_laplace_integral(WeightFunction.cos(), lam, T)
+
+    @pytest.mark.parametrize("w", [
+        WeightFunction.from_callable(lambda s: np.cos(400.0 * s), 1.0),
+        WeightFunction.cos_square(),
+        WeightFunction.constant(-0.5),
+    ], ids=["cos400", "cos_square", "constant"])
+    def test_array_equals_scalar_calls(self, w):
+        # these lam settle after 1 to 7 halvings, so one group holds lam at
+        # different halvings; the order and the shape of the lam do not matter
+        lams = [1e-3, 1.0, 10.0, 1e3, 1e8]
+        scalar = [weight_laplace_integral(w, lam, 5.0) for lam in lams]
+        assert all(type(J) is float for J in scalar)
+        assert np.array_equal(weight_laplace_integral(w, np.array(lams), 5.0), scalar)
+        assert np.array_equal(weight_laplace_integral(w, lams[::-1], 5.0), scalar[::-1])
+        grid = weight_laplace_integral(w, np.reshape(lams[:4], (2, 2)), 5.0)
+        assert np.array_equal(grid, np.reshape(scalar[:4], (2, 2)))
+
+    @pytest.mark.parametrize("fn", [lambda s: np.cos(s * s), lambda s: np.full_like(s, -0.5)],
+                             ids=["cos_square", "constant"])
+    def test_pass_holds_at_most_one_last_halving(self, monkeypatch, fn):
+        # a pass over a group is split so that no call of w holds more points
+        # than one lam's last halving, 4 * 2^_HALVINGS panels of 10
+        monkeypatch.setattr(oracle, "_HALVINGS", 3)
+        sizes = []
+
+        def w(s):
+            sizes.append(s.size)
+            return fn(s)
+
+        lams = np.logspace(-3, 3, 64)
+        got = weight_laplace_integral(WeightFunction.from_callable(w, 1.0), lams, 5.0)
+        assert max(sizes) == 4 * 2**3 * 10
+        want = [weight_laplace_integral(WeightFunction.from_callable(fn, 1.0), lam, 5.0)
+                for lam in lams]
+        assert np.array_equal(got, want)
+
+    def test_unsettled_refused_after_first_group(self, monkeypatch):
+        # the least lam runs alone, so a weight that never settles is refused
+        # after its 2 passes, not after a pass over all 64 lam
+        monkeypatch.setattr(oracle, "_HALVINGS", 1)
+        shapes = []
+
+        def w(s):
+            shapes.append(s.shape)
+            return np.cos(400.0 * s)
+
+        lams = np.arange(64.0, 0.0, -1.0)
+        with pytest.raises(NumericalError, match=r"did not settle after 1 halvings \(lam=1.0,"):
+            weight_laplace_integral(WeightFunction.from_callable(w, 1.0), lams, 1.0)
+        assert shapes == [(4, 10), (8, 10)]
+
 
 class TestModeReference:
     """One scalar mode, through reference_solution on a 1-d DiagonalOperator."""
@@ -186,6 +247,15 @@ class TestReferenceSolution:
                             lambda w, lam, T: adaptive(w, lam, T) + 1e-10)
         with pytest.raises(NumericalError, match="closed form"):
             reference_solution(DiagonalOperator([1.0]), WeightFunction.cos(), 1.0, [1.0], 0.5)
+
+    def test_closed_form_checked_for_every_mode(self, monkeypatch):
+        # only the last mode's J is off
+        adaptive = oracle.weight_laplace_integral
+        monkeypatch.setattr(oracle, "weight_laplace_integral",
+                            lambda w, lam, T: adaptive(w, lam, T) + 1e-10 * (lam == 9.0))
+        op, w = DiagonalOperator([1.0, 4.0, 9.0]), WeightFunction.cos()
+        with pytest.raises(NumericalError, match="closed form"):
+            reference_solution(op, w, 1.0, [1.0, 1.0, 1.0], 0.5)
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -495,7 +495,7 @@ class TestOracleAgreement:
         u0 = amps @ basis
         w, T = WeightFunction.cos(), 1.0
         lam = op.eigenvalue(ks)
-        den = np.array([1.0 + weight_laplace_integral(w, float(l), T) for l in lam])
+        den = 1.0 + weight_laplace_integral(w, lam, T)
         problem = NonlocalProblem(op=op, T=T, w=w, u0=u0)
         ts = [0.01, 0.1, 1.0]
         refs = [(amps * np.exp(-lam * t) / den) @ basis for t in ts]
