@@ -4,8 +4,6 @@ the integral nonlocal condition u(0) + int_0^T w(s)u(s)ds = u0."""
 # the names outside __all__ stay importable from here for code that already
 # imports them, but only the names README.md documents are public
 from .contour import (
-    Contour,
-    PathPoint,
     SpectralBounds,
     contour_point,
     make_contour,
@@ -21,7 +19,7 @@ from .operators import (
     poly_x2_1mx_coefficients,
 )
 from .oracle import reference_solution
-from .quadrature import GaussRule, WeightFunction, gauss_legendre, nonlocal_integral
+from .quadrature import WeightFunction, gauss_legendre, nonlocal_integral
 from .solver import (
     CalibratedStep,
     ConditionReport,

@@ -107,37 +107,33 @@ class RunConfig:
         self.step = _at("step_mode", _parse_step, raw["step_mode"], self.ts)
 
 
+def _form(spec, forms, what, expected):
+    """forms[NAME]() for a spec NAME, forms["NAME:"](ARG) for a spec NAME:ARG."""
+    name, colon, arg = spec.partition(":")
+    if name + colon not in forms:
+        raise ValueError(f"unknown {what} {spec!r} (expected {expected})")
+    return forms[name + colon](*([arg] if colon else []))
+
+
 def _parse_weight(spec):
-    if spec == "cos":
-        return WeightFunction.cos()
-    if spec == "cos_square":
-        return WeightFunction.cos_square()
-    if spec.startswith("const:"):
-        return WeightFunction.constant(_real(spec[len("const:"):]))
-    if spec.startswith("poly:"):
-        return WeightFunction.polynomial(map(_real, spec[len("poly:"):].split(",")))
-    raise ValueError(
-        f"unknown form {spec!r} (expected cos, cos_square, const:C or poly:c0,c1,...)"
-    )
+    return _form(spec, {
+        "cos": WeightFunction.cos, "cos_square": WeightFunction.cos_square,
+        "const:": lambda c: WeightFunction.constant(_real(c)),
+        "poly:": lambda cs: WeightFunction.polynomial(map(_real, cs.split(","))),
+    }, "form", "cos, cos_square, const:C or poly:c0,c1,...")
 
 
 def _parse_step(spec, ts):
-    if spec == "uniform":
-        return UniformStep()
-    if spec.startswith("uniform:"):
-        return UniformStep(_real(spec[len("uniform:"):]))
-    if spec == "window":  # fitted to the earliest time; t = 0 lies outside every window
+    def window():  # fitted to the earliest time; t = 0 lies outside every window
         t_min = min((t for t in ts if 0 < t < math.inf), default=None)
         if t_min is None:
             raise ValueError("window needs a time in (0, inf) in t")
         return WindowStep(t_min)
-    if spec == "calibrated":
-        return CalibratedStep()
-    if spec.startswith("fixed:"):
-        return FixedStep(h=_real(spec[len("fixed:"):]))
-    raise ValueError(
-        f"unknown mode {spec!r} (expected uniform[:ALPHA], window, calibrated or fixed:H)"
-    )
+    return _form(spec, {
+        "uniform": UniformStep, "uniform:": lambda alpha: UniformStep(_real(alpha)),
+        "window": window, "calibrated": CalibratedStep,
+        "fixed:": lambda h: FixedStep(h=_real(h)),
+    }, "mode", "uniform[:ALPHA], window, calibrated or fixed:H")
 
 
 def parse_config(text: str) -> RunConfig:

@@ -18,7 +18,12 @@ class NumericalError(RuntimeError):
 
 
 def positive_finite(name, v):
-    if not (0.0 < v < math.inf):
+    if isinstance(v, np.ndarray):  # checked at its extremes: a NaN anywhere makes both NaN
+        if v.size == 0:
+            raise ValueError(f"{name} must be nonempty")
+        positive_finite(name, v.min())
+        positive_finite(name, v.max())
+    elif not (0.0 < v < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {v}")
     return v
 

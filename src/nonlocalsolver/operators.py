@@ -79,8 +79,7 @@ class DiagonalOperator(SectorialOperator):
         lam = real_array("eigenvalues", eigenvalues)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        for v in (lam.min(), lam.max()):  # a NaN anywhere makes both NaN
-            positive_finite("all eigenvalues", v)
+        positive_finite("all eigenvalues", lam)
         if not np.all(np.diff(lam) >= 0):
             raise ValueError("eigenvalues must be ascending")
         self.eigenvalues = lam

@@ -58,8 +58,9 @@ def gauss_legendre(n: int) -> GaussRule:
 class WeightFunction:
     """The weight w(s) of the nonlocal condition u(0) + int_0^T w(s)u(s)ds = u0.
 
-    Built through the class-method constructors, which refuse complex data and
-    a non-finite constant, coefficient or sup|w| hint; evaluation is vectorized.
+    Built through the class-method constructors, which refuse complex data, an
+    empty coefficient list and a non-finite constant, coefficient or sup|w| hint;
+    evaluation is vectorized.
     """
 
     def __init__(self, kind, fn, label, sup_hint=None):
@@ -99,6 +100,8 @@ class WeightFunction:
     @classmethod
     def polynomial(cls, coeffs):
         c = real_array("weight polynomial coefficients", list(coeffs)).tolist()
+        if not c:
+            raise ValueError("weight polynomial coefficients must be nonempty")
         if not all(map(math.isfinite, c)):
             raise ValueError(f"weight polynomial coefficients must be finite, got {c}")
         poly = np.polynomial.Polynomial(c)

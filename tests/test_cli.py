@@ -50,6 +50,15 @@ def _problem(T=1.0, op=None):
                            u0=np.array([1.0]))
 
 
+def _solve_config(capsys, cfg, text, *argv):
+    """Write text to the config file cfg, unless it is None, and run solve on
+    it with argv after --config; returns (exit code, stdout, stderr)."""
+    if text is not None:
+        cfg.write_text(text)
+    code = main(["solve", "--config", str(cfg), *argv])
+    return (code, *capsys.readouterr())
+
+
 class TestParseConfig:
     def test_minimal(self):
         rc = parse_config(BASE)
@@ -206,11 +215,10 @@ class TestMain:
         assert bad.stderr.startswith("config error: key --n: n must be <= 128, got 200")
 
     def test_solve_to_stdout(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("operator = diagonal:1\nT = 1\nweight = const:0\n"
-                       "u0 = sine:1\nt = 1\nstep_mode = calibrated\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        out = capsys.readouterr().out
+        code, out, _ = _solve_config(capsys, tmp_path / "p.cfg",
+                                     "operator = diagonal:1\nT = 1\nweight = const:0\n"
+                                     "u0 = sine:1\nt = 1\nstep_mode = calibrated\n")
+        assert code == 0
         lines = out.splitlines()
         assert lines[0] == "n,N,t,x,value,abs_error"
         row = lines[1].split(",")
@@ -218,11 +226,11 @@ class TestMain:
         assert float(row[4]) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_solve_laplacian_profile(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("operator = laplacian1d:40\nT = 1\nweight = const:0\n"
-                       "u0 = sine:1\nt = 0.05\nx = 0.5\nstep_mode = calibrated\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+        code, out, _ = _solve_config(capsys, tmp_path / "p.cfg",
+                                     "operator = laplacian1d:40\nT = 1\nweight = const:0\n"
+                                     "u0 = sine:1\nt = 0.05\nx = 0.5\nstep_mode = calibrated\n")
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[4])
         # linear interpolation between grid points dominates the error here
         op_lam1 = 4 * 41**2 * math.sin(math.pi / (2 * 41)) ** 2
         assert value == pytest.approx(math.exp(-op_lam1 * 0.05), rel=5e-3)
@@ -232,11 +240,12 @@ class TestMain:
     def test_solve_poly_profile_matches_oracle(self, tmp_path, capsys, operator):
         # example-2 data; x = 0.4 is the 20th point of the m = 49 grid, where
         # the CSV value is the grid value itself
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"operator = {operator}\nT = 1.5707963267948966\nweight = cos_square\n"
-                       "u0 = poly_x2_1mx\nt = 1\nx = 0.4\nstep_mode = calibrated\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+        code, out, _ = _solve_config(
+            capsys, tmp_path / "p.cfg",
+            f"operator = {operator}\nT = 1.5707963267948966\nweight = cos_square\n"
+            "u0 = poly_x2_1mx\nt = 1\nx = 0.4\nstep_mode = calibrated\n")
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[4])
         w = WeightFunction.cos_square()
         if operator.startswith("sine"):
             op = SineSpectralOperator(50)
@@ -251,11 +260,11 @@ class TestMain:
     def test_solve_u0_from_file(self, tmp_path, capsys):
         data = tmp_path / "u0.txt"
         data.write_text("1.0\n0.5\n")
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(f"operator = diagonal:1,2\nT = 1\nweight = const:0\n"
-                       f"u0 = {data}\nt = 1\nstep_mode = calibrated\n")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        value = float(capsys.readouterr().out.splitlines()[1].split(",")[4])
+        code, out, _ = _solve_config(capsys, tmp_path / "p.cfg",
+                                     f"operator = diagonal:1,2\nT = 1\nweight = const:0\n"
+                                     f"u0 = {data}\nt = 1\nstep_mode = calibrated\n")
+        assert code == 0
+        value = float(out.splitlines()[1].split(",")[4])
         assert value == pytest.approx(math.exp(-1.0), abs=1e-10)
 
     def test_out_file_and_determinism(self, tmp_path):
@@ -270,11 +279,11 @@ class TestMain:
 
     def test_out_dash_is_a_file_name(self, tmp_path, monkeypatch, capsys):
         # stdout is spelled only by leaving --out out
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", "diagonal:4"))
         monkeypatch.chdir(tmp_path)
-        assert main(["solve", "--config", str(cfg), "--out", "-"]) == 0
-        assert capsys.readouterr().out == ""
+        code, out, _ = _solve_config(capsys, tmp_path / "p.cfg",
+                                     BASE.replace("diagonal:1", "diagonal:4"), "--out", "-")
+        assert code == 0
+        assert out == ""
         assert (tmp_path / "-").read_text().startswith("n,N,t,x,value,abs_error\n")
 
     def test_reproduce_command(self, tmp_path):
@@ -292,14 +301,14 @@ class TestMain:
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("operator = diagonal:1\nbogus = 1\n")
-        assert main(["solve", "--config", str(cfg)]) == 2
-        assert "config error" in capsys.readouterr().err
+        code, _, err = _solve_config(capsys, cfg, "operator = diagonal:1\nbogus = 1\n")
+        assert code == 2
+        assert "config error" in err
         for bad in (BASE.replace("t = 0.5", "t = nan"), BASE.replace("T = 1.0", "T = inf"),
                     BASE.replace("diagonal:1", "diagonal:5") + "N = 200000\n"):
-            cfg.write_text(bad)
-            assert main(["solve", "--config", str(cfg)]) == 2
-            assert "config error" in capsys.readouterr().err
+            code, _, err = _solve_config(capsys, cfg, bad)
+            assert code == 2
+            assert "config error" in err
 
     @pytest.mark.parametrize("extra, message", [
         # a combination that only the plan can refuse keeps the solver's words
@@ -319,12 +328,11 @@ class TestMain:
             "large_t-c1-nan", "c1-unknown", "step_mode-unknown", "window-t0", "n-above-max",
             "fixed-inf"])
     def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, message):
-        cfg = tmp_path / "bad.cfg"
         # the window rule has no time to fit when t = 0 is the only one
-        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9").replace("t = 0.5", "t = 0")
-                       + extra)
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(
+            capsys, tmp_path / "bad.cfg",
+            BASE.replace("diagonal:1", "diagonal:5,9").replace("t = 0.5", "t = 0") + extra)
+        assert code == 2
         assert err.startswith(message) and err.count("key ") <= 1
 
     @pytest.mark.parametrize("operator, u0, message", [
@@ -340,40 +348,38 @@ class TestMain:
     def test_operator_and_u0_refusal_exit_code(self, tmp_path, capsys, operator, u0, message):
         (tmp_path / "short.txt").write_text("1\n")
         (tmp_path / "nan.txt").write_text("1\nnan\n")
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", operator)
-                       .replace("sine:1", u0.format(tmp_path)))
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     BASE.replace("diagonal:1", operator)
+                                     .replace("sine:1", u0.format(tmp_path)))
+        assert code == 2
         assert err.startswith(message) and err.count("key ") == 1
 
     @pytest.mark.parametrize("eigenvalues", ["2,inf", "inf", "2,1e400", "2,nan"])
     def test_nonfinite_eigenvalue_exit_code(self, tmp_path, capsys, eigenvalues):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", f"diagonal:{eigenvalues}"))
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     BASE.replace("diagonal:1", f"diagonal:{eigenvalues}"))
+        assert code == 2
         assert "config error: key operator: all eigenvalues must be positive and finite" in err
         assert err.count("key ") == 1
 
     @pytest.mark.parametrize("weight", ["const:nan", "const:inf", "const:-inf",
                                         "poly:nan,1", "poly:1,inf"])
     def test_nonfinite_weight_exit_code(self, tmp_path, capsys, weight):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("weight = cos", f"weight = {weight}"))
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     BASE.replace("weight = cos", f"weight = {weight}"))
+        assert code == 2
         assert "config error: key weight" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("weight", ["poly:1e308,1e308", "poly:1e308,-1e308,1e308"])
     def test_overflowing_weight_refused_in_silence(self, tmp_path, capsys, weight):
         # sampling w for sup|w| overflows; the inf or NaN maximum is refused
         # by the solvability check, with no numpy warning after the refusal
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", "diagonal:2,5").replace("T = 1.0", "T = 3")
-                       .replace("weight = cos", f"weight = {weight}"))
-        assert main(["solve", "--config", str(cfg)]) == 3
-        assert capsys.readouterr().err == (
+        code, _, err = _solve_config(
+            capsys, tmp_path / "bad.cfg",
+            BASE.replace("diagonal:1", "diagonal:2,5").replace("T = 1.0", "T = 3")
+            .replace("weight = cos", f"weight = {weight}"))
+        assert code == 3
+        assert err == (
             "existence condition violated: solvability condition violated: "
             "sup|w| = inf >= a_I = 1.4142135623730951\n")
 
@@ -382,11 +388,10 @@ class TestMain:
     def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):
         # outside [0, 1] the grid's boundary zeros or the sine series'
         # periodic extension would be printed as u(t, x)
-        cfg = tmp_path / "bad.cfg"
         for x in ("nan", "inf", "1.75", "-0.25"):
-            cfg.write_text(BASE.replace("diagonal:1", operator) + f"x = {x}\n")
-            assert main(["solve", "--config", str(cfg)]) == 2
-            err = capsys.readouterr().err
+            code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                         BASE.replace("diagonal:1", operator) + f"x = {x}\n")
+            assert code == 2
             assert "config error: key x" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, extra, key", [
@@ -395,10 +400,9 @@ class TestMain:
         ("diagonal:1", "step_mode = uniform:abc\n", "step_mode"),
     ], ids=["modes", "m", "alpha"])
     def test_malformed_number_exit_code(self, tmp_path, capsys, operator, extra, key):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", operator) + extra)
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     BASE.replace("diagonal:1", operator) + extra)
+        assert code == 2
         assert f"config error: key {key}: expected" in err and err.count("key ") == 1
 
     @pytest.mark.parametrize("operator, size, key", [
@@ -414,10 +418,9 @@ class TestMain:
         # the size rides on the operator kind, alpha on step_mode = uniform:ALPHA and
         # the output path on --out; the keys that once held them are refused like
         # any unknown key
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", operator) + size + "\n")
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     BASE.replace("diagonal:1", operator) + size + "\n")
+        assert code == 2
         assert err.startswith(f"config error: line 6: unknown key {key!r}")
         assert err.count("key ") == 1
 
@@ -428,10 +431,9 @@ class TestMain:
         ("sine_spectral", "config error: key operator: expected an integer"),
     ], ids=["m1", "modes0", "m-missing", "modes-missing"])
     def test_size_refusal_exit_code(self, tmp_path, capsys, operator, message):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", operator))
-        assert main(["solve", "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     BASE.replace("diagonal:1", operator))
+        assert code == 2
         assert err.startswith(message) and err.count("key ") <= 1
 
     def test_bad_order_exit_code(self, capsys, monkeypatch):
@@ -495,12 +497,12 @@ class TestMain:
         (tmp_path / "short.txt").write_text("1\n")
         lines = dict(line.split(" = ") for line in BASE.splitlines())
         lines.update((k, v.format(tmp_path)) for k, v in given.items())
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
         with pytest.raises(ValueError) as refusal:
             refuse()
-        assert main(["solve", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err == f"config error: key {key}: {refusal.value}\n"
+        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
+                                     "".join(f"{k} = {v}\n" for k, v in lines.items()))
+        assert code == 2
+        assert err == f"config error: key {key}: {refusal.value}\n"
 
     def test_huge_N_refused_under_its_flag(self, capsys, monkeypatch):
         # the node budget of every plan the command builds, example 2's
@@ -538,9 +540,9 @@ class TestMain:
                 ("operator = diagonal:2,5\nN = 1000000\n", "N", "1000001 nodes x dim 2 "),
                 ("operator = laplacian1d:1000000000\n", "operator",
                  "1 nodes x dim 1000000000 ")):
-            cfg.write_text(body + "T = 1\nweight = cos\nu0 = sine:1\nt = 0.5\n")
-            assert main(["solve", "--config", str(cfg)]) == 2
-            err = capsys.readouterr().err
+            code, _, err = _solve_config(capsys, cfg,
+                                         body + "T = 1\nweight = cos\nu0 = sine:1\nt = 0.5\n")
+            assert code == 2
             assert err.startswith(f"config error: key {key}: the node buffer of {nodes}")
             assert err.count("key ") == 1
         assert built == []
@@ -568,17 +570,17 @@ class TestMain:
                     return False
 
         def solve_refuses(n, N, dim):
-            cfg = tmp_path / "p.cfg"
-            cfg.write_text(f"operator = sine_spectral:{dim}\nT = 1\n"
-                           f"weight = const:0\nu0 = sine:1\nt = 0.5\nn = {n}\nN = {N}\n")
             with monkeypatch.context() as m:
                 m.setattr(solver, "_nodes", stop)
                 try:
-                    code = main(["solve", "--config", str(cfg)])
+                    code, _, err = _solve_config(
+                        capsys, tmp_path / "p.cfg",
+                        f"operator = sine_spectral:{dim}\nT = 1\n"
+                        f"weight = const:0\nu0 = sine:1\nt = 0.5\nn = {n}\nN = {N}\n")
                 except Passed:
                     return False
             assert code == 2
-            assert capsys.readouterr().err.startswith("config error: key N: the node buffer")
+            assert err.startswith("config error: key N: the node buffer")
             return True
 
         for n, N in itertools.product((4, 16), (2**10 - 1, 2**12 - 1)):
@@ -596,29 +598,31 @@ class TestMain:
     def test_unreadable_config_and_unwritable_out_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_bytes(b"\xff\xfe\x00")  # not UTF-8
-        assert main(["solve", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: cannot read config {str(cfg)!r}:")
-        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9"))
-        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: cannot write {str(tmp_path)!r}:")
+        code, _, err = _solve_config(capsys, cfg, None)
+        assert code == 2
+        assert err.startswith(f"config error: cannot read config {str(cfg)!r}:")
+        code, _, err = _solve_config(capsys, cfg, BASE.replace("diagonal:1", "diagonal:5,9"),
+                                     "--out", str(tmp_path))
+        assert code == 2
+        assert err.startswith(f"config error: cannot write {str(tmp_path)!r}:")
 
     def test_config_with_byte_order_mark(self, tmp_path, capsys):
         # an editor may start a UTF-8 file with U+FEFF; it is not part of a key
         cfg, text = tmp_path / "p.cfg", BASE.replace("diagonal:1", "diagonal:5,9")
-        cfg.write_text(text, encoding="utf-8")
-        assert main(["solve", "--config", str(cfg)]) == 0
-        want = capsys.readouterr()
+        code, *want = _solve_config(capsys, cfg, text)
+        assert code == 0
         cfg.write_text(text, encoding="utf-8-sig")
         assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
-        assert main(["solve", "--config", str(cfg)]) == 0
-        assert capsys.readouterr() == want
+        code, *got = _solve_config(capsys, cfg, None)
+        assert code == 0
+        assert got == want
 
     def test_existence_exit_code(self, tmp_path, capsys):
-        cfg = tmp_path / "p.cfg"
-        cfg.write_text("operator = diagonal:1\nT = 1\nweight = const:5\n"
-                       "u0 = sine:1\nt = 1\n")
-        assert main(["solve", "--config", str(cfg)]) == 3
-        assert "existence" in capsys.readouterr().err
+        code, _, err = _solve_config(capsys, tmp_path / "p.cfg",
+                                     "operator = diagonal:1\nT = 1\nweight = const:5\n"
+                                     "u0 = sine:1\nt = 1\n")
+        assert code == 3
+        assert "existence" in err
 
     def test_numerical_failure_exit_code(self, monkeypatch, tmp_path):
         from nonlocalsolver.errors import NumericalError
@@ -640,10 +644,9 @@ class TestInProcessReuse:
 
     def test_repeated_calls_identical(self, tmp_path, capsys):
         cfg = tmp_path / "p.cfg"
-        cfg.write_text(BASE.replace("diagonal:1", "diagonal:5,9").replace("t = 0.5", "t = 0.1, 0.5"))
-        argv = ["solve", "--config", str(cfg)]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
+        code, first, _ = _solve_config(capsys, cfg, BASE.replace("diagonal:1", "diagonal:5,9")
+                                       .replace("t = 0.5", "t = 0.1, 0.5"))
+        assert code == 0
         # an argparse error in between leaves the next call unchanged
         for bad in (["solve", "--bogus"], ["converge", "--example", "1", "--n", "8",
                                             "--N-list", "4"]):
@@ -651,8 +654,9 @@ class TestInProcessReuse:
                 main(bad)
             assert exc.value.code == 2
         capsys.readouterr()
-        assert main(argv) == 0
-        assert capsys.readouterr().out == first
+        code, out, _ = _solve_config(capsys, cfg, None)
+        assert code == 0
+        assert out == first
         assert main(["converge", "--n", "8", "--N-list", "4"]) == 0
         conv = capsys.readouterr().out
         assert main(["converge", "--n", "8", "--N-list", "4"]) == 0

@@ -1,8 +1,8 @@
 """One sweep over the input rules of the public constructors and entry points:
 a count must be an integer at or above its bound, and problem data must be
-real. Each bad input raises ValueError that starts with its field's name, and
-no warning comes first (a ComplexWarning once cut complex data to its real
-part)."""
+real and nonempty. Each bad input raises ValueError that starts with its
+field's name, and no warning comes first (a ComplexWarning once cut complex
+data to its real part)."""
 
 import warnings
 
@@ -53,6 +53,12 @@ DATA = [
     ("weight", lambda v, w: reference_solution(OP, w, T, U0, 0.5)),
 ]
 
+# (field, the call that takes an empty sequence)
+EMPTY = [
+    ("lam", lambda: weight_laplace_integral(WeightFunction.cos(), [], T)),
+    ("weight polynomial coefficients", lambda: WeightFunction.polynomial([])),
+]
+
 
 def _refused(call):
     with warnings.catch_warnings():
@@ -79,3 +85,9 @@ def test_complex_data_refused(field, call, kind):
     w = WeightFunction.from_callable(COMPLEX_WEIGHTS[kind])
     message = _refused(lambda: call(COMPLEX[kind], w))
     assert message.startswith(field + " ") and message.endswith(" must be real"), message
+
+
+@pytest.mark.parametrize("field, call", EMPTY, ids=["laplace-lam", "polynomial"])
+def test_empty_data_refused(field, call):
+    message = _refused(call)
+    assert message.startswith(field + " ") and message.endswith(" must be nonempty"), message

@@ -79,6 +79,26 @@ def test_public_names_are_documented():
     assert undocumented == []
 
 
+def test_reexports_are_imported():
+    # each name __init__.py imports is public, in __all__, or imported from
+    # the package by a test, a tool or the benchmark
+    imported = set()
+    for path in (p for d in ("tests", "tools", "perfbench") for p in (ROOT / d).rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        aliases = {a.asname or a.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for a in node.names if a.name == "nonlocalsolver"}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "nonlocalsolver":
+                imported.update(a.name for a in node.names)
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in aliases):  # ns.name after import nonlocalsolver as ns
+                imported.add(node.attr)
+    init = ast.parse((ROOT / "src" / "nonlocalsolver" / "__init__.py").read_text())
+    names = [a.asname or a.name for node in init.body if isinstance(node, ast.ImportFrom)
+             for a in node.names]
+    assert [name for name in names if name not in {*nonlocalsolver.__all__, *imported}] == []
+
+
 @pytest.mark.filterwarnings("ignore:sup")
 def test_readme_config_example_runs():
     # the README's config block parses and solves, and so does every

@@ -36,10 +36,11 @@ SolverConfig's n and N, Laplacian1D, SineSpectralOperator and gauss_legendre;
 complex data (1j, np.complex128(0.5+1j) and a complex array) as u0,
 eigenvalues, a constant or polynomial weight, and a from_callable weight in
 solve_at, weight_laplace_integral and reference_solution; and bad values of T,
-t, rho0, rho1, n > 128, WindowStep, FixedStep, empty eigenvalues and a NaN
-constant weight. A warning is raised as an error. It prints one line per input,
-"label -> Type: message" or "label -> accepted", and one SHA-256 over all of
-them, so that two trees can be compared line by line.
+t, rho0, rho1, n > 128, WindowStep, FixedStep, empty eigenvalues, lam and
+polynomial coefficients, and a NaN constant weight. A warning is raised as an
+error. It prints one line per input, "label -> Type: message" or "label ->
+accepted", and one SHA-256 over all of them, so that two trees can be compared
+line by line.
 """
 
 import contextlib
@@ -227,6 +228,9 @@ def _refusal_cases(ns):
         ("WindowStep(0.0)", lambda: ns.WindowStep(0.0)),
         ("FixedStep(inf)", lambda: ns.FixedStep(math.inf)),
         ("DiagonalOperator([])", lambda: ns.DiagonalOperator([])),
+        ("weight_laplace_integral(lam=[])",
+         lambda: ns.oracle.weight_laplace_integral(zero, [], T)),
+        ("WeightFunction.polynomial([])", lambda: ns.WeightFunction.polynomial([])),
         ("WeightFunction.constant(nan)", lambda: ns.WeightFunction.constant(math.nan)),
     ]
     return cases
