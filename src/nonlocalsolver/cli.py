@@ -159,18 +159,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _build_operator(rc: RunConfig):
-    kind, _, arg = rc.operator.partition(":")
-    if kind == "diagonal":  # sized by its list of eigenvalues
-        lams = arg.split(",")
-        size, make = len(lams), lambda _: DiagonalOperator([_real(p) for p in lams])
-    elif kind in ("laplacian1d", "sine_spectral"):  # sized after the colon
-        size = _at("operator", _int, arg)
-        make = Laplacian1D if kind == "laplacian1d" else SineSpectralOperator
-    else:
-        raise ConfigError(
-            f"key operator: unknown kind {rc.operator!r} "
-            "(expected sine_spectral:MODES, laplacian1d:M or diagonal:l1,l2,...)"
-        )
+    size, make = _at("operator", _form, rc.operator, {  # each kind gives (size, constructor)
+        "diagonal:": lambda ls: (ls.count(",") + 1,  # one dimension per eigenvalue
+                                 lambda _: DiagonalOperator([_real(p) for p in ls.split(",")])),
+        "laplacian1d:": lambda m: (_int(m), Laplacian1D),
+        "sine_spectral:": lambda modes: (_int(modes), SineSpectralOperator),
+    }, "kind", "sine_spectral:MODES, laplacian1d:M or diagonal:l1,l2,...")
     # refused before anything is allocated: one node's row under operator, all under N
     _at("operator", check_node_buffer, rc.n, 0, size)
     _at("N", check_node_buffer, rc.n, rc.N, size)
@@ -178,8 +172,9 @@ def _build_operator(rc: RunConfig):
 
 
 def _build_u0(spec, op):
-    if spec.startswith("sine:"):
-        k = _int(spec[len("sine:"):])
+    name, colon, arg = spec.partition(":")
+    if name + colon == "sine:":
+        k = _int(arg)
         if not (1 <= k <= op.dim):
             raise ValueError(f"mode {k} outside 1..{op.dim}")
         if isinstance(op, Laplacian1D):

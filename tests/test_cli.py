@@ -427,9 +427,14 @@ class TestMain:
     @pytest.mark.parametrize("operator, message", [
         ("laplacian1d:1", "config error: key operator: m must be an integer >= 2, got 1"),
         ("sine_spectral:0", "config error: key operator: modes must be an integer >= 1, got 0"),
-        ("laplacian1d", "config error: key operator: expected an integer"),
-        ("sine_spectral", "config error: key operator: expected an integer"),
-    ], ids=["m1", "modes0", "m-missing", "modes-missing"])
+        # a kind without its colon is not a kind; an empty size is not an integer
+        ("laplacian1d", "config error: key operator: unknown kind 'laplacian1d' (expected "),
+        ("sine_spectral", "config error: key operator: unknown kind 'sine_spectral' (expected "),
+        ("diagonal", "config error: key operator: unknown kind 'diagonal' (expected "),
+        ("laplacian1d:", "config error: key operator: expected an integer"),
+        ("sine_spectral:", "config error: key operator: expected an integer"),
+    ], ids=["m1", "modes0", "m-missing", "modes-missing", "eigenvalues-missing", "m-empty",
+            "modes-empty"])
     def test_size_refusal_exit_code(self, tmp_path, capsys, operator, message):
         code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
                                      BASE.replace("diagonal:1", operator))

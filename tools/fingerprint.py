@@ -38,9 +38,14 @@ eigenvalues, a constant or polynomial weight, and a from_callable weight in
 solve_at, weight_laplace_integral and reference_solution; and bad values of T,
 t, rho0, rho1, n > 128, WindowStep, FixedStep, empty eigenvalues, lam and
 polynomial coefficients, and a NaN constant weight. A warning is raised as an
-error. It prints one line per input, "label -> Type: message" or "label ->
-accepted", and one SHA-256 over all of them, so that two trees can be compared
-line by line.
+error. It then feeds the CLI's config forms that it refuses, each through
+nonlocalsolver.cli.main(["solve", "--config", ...]) in a temporary directory:
+operator kinds that are unknown, written without their colon, with an empty or
+non-integer size, or with a bad eigenvalue; unknown weight and step_mode
+forms; and a u0 sine mode out of range or not an integer. It prints one line
+per input, "label -> Type: message", "label -> accepted" or, for the CLI,
+"label -> exit N: <first stderr line>", and one SHA-256 over all of them, so
+that two trees can be compared line by line.
 """
 
 import contextlib
@@ -236,11 +241,40 @@ def _refusal_cases(ns):
     return cases
 
 
+def _cli_refusals(cli, workdir):
+    """(label, outcome) for every config form that --refusals feeds to the CLI,
+    each as the only bad key of an otherwise valid solve config."""
+    base = {"operator": "diagonal:2,5", "T": "1.0", "weight": "cos", "u0": "sine:1",
+            "t": "0.5"}
+    cases = [("operator", v) for v in (
+        "bogus", "bogus:1", "diagonal", "laplacian1d", "sine_spectral", "diagonal:",
+        "laplacian1d:", "sine_spectral:", "laplacian1d:2.5", "sine_spectral:abc",
+        "diagonal:2,x")]
+    cases += [("weight", "const"), ("weight", "sin"), ("step_mode", "fixed"),
+              ("step_mode", "window:1"), ("u0", "sine:0"), ("u0", "sine:x")]
+    path = os.path.join(workdir, "refused.cfg")
+    for key, value in cases:
+        with open(path, "w") as fh:
+            fh.writelines(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["solve", "--config", path])
+        first_line = err.getvalue().partition("\n")[0]
+        yield f"solve({key} = {value})", f"exit {code}: {first_line}"
+
+
 def refusals(src):
     sys.path.insert(0, src)
     import nonlocalsolver as ns
+    from nonlocalsolver import cli
 
     digest = hashlib.sha256()
+
+    def report(label, outcome):
+        line = f"{label} -> {outcome}"
+        print(line)
+        digest.update(f"{line}\n".encode())
+
     for label, call in _refusal_cases(ns):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -249,9 +283,10 @@ def refusals(src):
                 outcome = "accepted"
             except Exception as e:  # the refusal is the output
                 outcome = f"{type(e).__name__}: {e}"
-        line = f"{label} -> {outcome}"
-        print(line)
-        digest.update(f"{line}\n".encode())
+        report(label, outcome)
+    with tempfile.TemporaryDirectory() as workdir:
+        for label, outcome in _cli_refusals(cli, workdir):
+            report(label, outcome)
     print(f"sha256 {digest.hexdigest()}")
 
 
