@@ -172,23 +172,23 @@ def _build_operator(rc: RunConfig):
 
 
 def _build_u0(spec, op):
-    name, colon, arg = spec.partition(":")
-    if name + colon == "sine:":
+    def sine(arg):
         k = _int(arg)
         if not (1 <= k <= op.dim):
             raise ValueError(f"mode {k} outside 1..{op.dim}")
         if isinstance(op, Laplacian1D):
             return np.sin(k * math.pi * op.grid)
-        e = np.zeros(op.dim)
-        e[k - 1] = 1.0
-        return e
-    if spec == "poly_x2_1mx":
+        return np.eye(1, op.dim, k - 1)[0]
+
+    def poly_x2_1mx():
         if isinstance(op, SineSpectralOperator):
             return poly_x2_1mx_coefficients(op.dim)
         if isinstance(op, Laplacian1D):
-            x = op.grid
-            return (1.0 - x) * x * x
+            return (1.0 - op.grid) * op.grid * op.grid
         raise ValueError("poly_x2_1mx is not defined for diagonal operators")
+    forms = {"sine:": sine, "poly_x2_1mx": poly_x2_1mx}
+    if spec.partition(":")[0] in {form.rstrip(":") for form in forms}:  # else a file path
+        return _form(spec, forms, "form", "sine:K, poly_x2_1mx or a file path")
     where = f" in file {spec!r}"
     try:
         with open(spec) as fh:

@@ -42,10 +42,12 @@ error. It then feeds the CLI's config forms that it refuses, each through
 nonlocalsolver.cli.main(["solve", "--config", ...]) in a temporary directory:
 operator kinds that are unknown, written without their colon, with an empty or
 non-integer size, or with a bad eigenvalue; unknown weight and step_mode
-forms; and a u0 sine mode out of range or not an integer. It prints one line
-per input, "label -> Type: message", "label -> accepted" or, for the CLI,
-"label -> exit N: <first stderr line>", and one SHA-256 over all of them, so
-that two trees can be compared line by line.
+forms; a u0 sine mode out of range, empty or not an integer; and u0 forms
+written without their argument (sine) or with one they do not take
+(poly_x2_1mx:3), which are refused as forms, not read as file paths. It
+prints one line per input, "label -> Type: message", "label -> accepted" or,
+for the CLI, "label -> exit N: <first stderr line>", and one SHA-256 over all
+of them, so that two trees can be compared line by line.
 """
 
 import contextlib
@@ -251,7 +253,8 @@ def _cli_refusals(cli, workdir):
         "laplacian1d:", "sine_spectral:", "laplacian1d:2.5", "sine_spectral:abc",
         "diagonal:2,x")]
     cases += [("weight", "const"), ("weight", "sin"), ("step_mode", "fixed"),
-              ("step_mode", "window:1"), ("u0", "sine:0"), ("u0", "sine:x")]
+              ("step_mode", "window:1"), ("u0", "sine:0"), ("u0", "sine:x"),
+              ("u0", "sine"), ("u0", "sine:"), ("u0", "poly_x2_1mx:3")]
     path = os.path.join(workdir, "refused.cfg")
     for key, value in cases:
         with open(path, "w") as fh:
