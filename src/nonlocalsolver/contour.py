@@ -27,7 +27,7 @@ class SpectralBounds:
 
     def __post_init__(self):
         positive_finite("rho0", self.rho0)
-        if not (0.0 <= self.phi < math.pi / 2):
+        if isinstance(self.phi, bool) or not (0.0 <= self.phi < math.pi / 2):
             raise ValueError(f"phi must lie in [0, pi/2), got {self.phi}")
 
     @property

@@ -23,7 +23,7 @@ def positive_finite(name, v):
             raise ValueError(f"{name} must be nonempty")
         positive_finite(name, v.min())
         positive_finite(name, v.max())
-    elif not (0.0 < v < math.inf):
+    elif isinstance(v, bool) or not (0.0 < v < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {v}")
     return v
 
@@ -35,7 +35,11 @@ def count(name, v, low):
 
 
 def real_array(name, v):
-    # numpy's cast would only warn and keep the real part; the folded sum needs real data
-    if np.iscomplexobj(v):
+    # numpy's cast would only warn and keep the real part, read a bool as 1 and
+    # parse a string; the folded sum needs real numbers
+    a = np.asarray(v)
+    if np.iscomplexobj(a):
         raise ValueError(f"{name} must be real")
-    return np.asarray(v, dtype=float)
+    if isinstance(v, bool) or a.dtype.kind not in "biuf":  # a bool array is numpy's 0 and 1
+        raise ValueError(f"{name} must be a real number or array, got {v!r}")
+    return np.asarray(a, dtype=float)

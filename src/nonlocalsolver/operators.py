@@ -47,6 +47,8 @@ class SectorialOperator(ABC):
 
     def _count(self, z, v):
         """Validate z and the length of v, and count one resolvent solve."""
+        if not isinstance(z, complex) and isinstance(z, (bool, str)):  # complex() reads both
+            raise ValueError(f"resolvent needs a number z, got {z!r}")
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"resolvent needs a finite z, got {z}")

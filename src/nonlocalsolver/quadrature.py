@@ -64,7 +64,7 @@ class WeightFunction:
     """
 
     def __init__(self, kind, fn, label, sup_hint=None):
-        if sup_hint is not None and not (0.0 <= sup_hint < math.inf):
+        if sup_hint is not None and (isinstance(sup_hint, bool) or not 0.0 <= sup_hint < math.inf):
             raise ValueError(f"weight {label}: sup|w| must be finite and >= 0, got {sup_hint}")
         self.kind = kind
         self._fn = fn

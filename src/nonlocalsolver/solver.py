@@ -172,7 +172,7 @@ class SolverConfig:
         count("N", self.N, 0)
         if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
             raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
-        if not (0.0 <= self.rho1 < math.inf):
+        if isinstance(self.rho1, bool) or not (0.0 <= self.rho1 < math.inf):
             raise ValueError(f"rho1 must be finite and >= 0, got {self.rho1}")
         if not hasattr(self.step, "step_size"):
             raise ValueError(f"unknown step mode {self.step!r}")
@@ -305,7 +305,7 @@ def _times(ts):
     """The times as given, in a list and a float array: numbers >= 0 that fit a float."""
     ts = list(ts)
     for t in ts:
-        if getattr(t, "ndim", 0) or not (t >= 0):  # not np.ndim: 1 us per time
+        if isinstance(t, bool) or getattr(t, "ndim", 0) or not (t >= 0):  # np.ndim: 1 us each
             raise ValueError(f"time must be a nonnegative number, got {t}")
         if math.inf > t > _FLOAT_MAX:
             raise ValueError(f"time is beyond the float range, got {t}")

@@ -187,6 +187,23 @@ def test_traced_benchmark_smoke(tmp_path):
         assert workload["metrics"]["operators.resolvent_calls"]["value"] == solves[name], name
 
 
+def test_refusal_digest_runs():
+    # tools/fingerprint.py --refusals loads the rows of tests/test_inputs.py
+    # and prints one line for each, then one for each of the 20 CLI forms and
+    # the digest; a row that it fails to load or that is accepted fails here
+    spec = importlib.util.spec_from_file_location("_input_rows", ROOT / "tests" / "test_inputs.py")
+    rows = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rows)
+    proc = subprocess.run([sys.executable, "tools/fingerprint.py", "--refusals", "src"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line for line in lines if line.endswith(" -> accepted")] == []
+    library = (len(rows.COUNTS) * len(rows.BAD_COUNTS) + len(rows.DATA) * len(rows.COMPLEX)
+               + len(rows.EMPTY) + len(rows.VALUES))
+    assert len(lines) == library + 20 + 1 and lines[-1].startswith("sha256 ")
+
+
 def test_readme_python_blocks_run(capsys):
     # the library example prints one line per time, its error below 1e-5; the
     # custom-operator recipe solves folded and full to the same values

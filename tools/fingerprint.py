@@ -30,24 +30,20 @@ seeds 1 to 3 (perfbench/workloads.py, read from this checkout). It prints the
 count of values, with the number refused, and one SHA-256 over all of them; a
 refusal contributes its error instead.
 
-With --refusals it feeds a fixed list of bad inputs to the public
-constructors and entry points: counts (True, 2.5 and one below the bound) for
-SolverConfig's n and N, Laplacian1D, SineSpectralOperator and gauss_legendre;
-complex data (1j, np.complex128(0.5+1j) and a complex array) as u0,
-eigenvalues, a constant or polynomial weight, and a from_callable weight in
-solve_at, weight_laplace_integral and reference_solution; and bad values of T,
-t, rho0, rho1, n > 128, WindowStep, FixedStep, empty eigenvalues, lam and
-polynomial coefficients, and a NaN constant weight. A warning is raised as an
-error. It then feeds the CLI's config forms that it refuses, each through
-nonlocalsolver.cli.main(["solve", "--config", ...]) in a temporary directory:
-operator kinds that are unknown, written without their colon, with an empty or
-non-integer size, or with a bad eigenvalue; unknown weight and step_mode
-forms; a u0 sine mode out of range, empty or not an integer; and u0 forms
-written without their argument (sine) or with one they do not take
-(poly_x2_1mx:3), which are refused as forms, not read as file paths. It
-prints one line per input, "label -> Type: message", "label -> accepted" or,
-for the CLI, "label -> exit N: <first stderr line>", and one SHA-256 over all
-of them, so that two trees can be compared line by line.
+With --refusals it feeds the bad library inputs, each row of the tables of
+tests/test_inputs.py (read from this checkout, after nonlocalsolver is
+imported from SRC_DIR), to the public constructors and entry points, with a
+warning raised as an error. It then feeds the CLI's config forms that it
+refuses, each through nonlocalsolver.cli.main(["solve", "--config", ...]) in a
+temporary directory: operator kinds that are unknown, written without their
+colon, with an empty or non-integer size, or with a bad eigenvalue; unknown
+weight and step_mode forms; a u0 sine mode out of range, empty or not an
+integer; and u0 forms written without their argument (sine) or with one they
+do not take (poly_x2_1mx:3), which are refused as forms, not read as file
+paths. It prints one line per input: "test ID -> Type: message" or "test ID ->
+accepted" for a library row, "label -> exit N: <first stderr line>" for a CLI
+form, and one SHA-256 over all of them, so that two trees can be compared line
+by line.
 """
 
 import contextlib
@@ -62,7 +58,8 @@ import warnings
 
 import numpy as np
 
-PERFBENCH = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench")
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+PERFBENCH, TESTS = os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "tests")
 
 
 def main(src):
@@ -177,72 +174,6 @@ def oracle_values(src):
     print(f"sha256 {digest.hexdigest()}")
 
 
-def _refusal_cases(ns):
-    """(label, call) for every bad input that --refusals feeds."""
-    op, T, u0 = ns.DiagonalOperator([2.0, 5.0]), 1.0, [1.0, 0.0]
-    zero = ns.WeightFunction.zero()
-
-    def solve(w=zero, t=0.5, **config):
-        problem = ns.NonlocalProblem(op=op, T=T, w=w, u0=u0)
-        return ns.solve_at(problem, ns.SolverConfig(n=8, N=16, **config), t)
-
-    cases = []
-    counts = (("SolverConfig(n={})", 0, lambda v: ns.SolverConfig(n=v)),
-              ("SolverConfig(N={})", 0, lambda v: ns.SolverConfig(N=v)),
-              ("Laplacian1D({})", 2, ns.Laplacian1D),
-              ("SineSpectralOperator({})", 1, ns.SineSpectralOperator),
-              ("gauss_legendre({})", 0, ns.gauss_legendre))
-    for label, low, make in counts:
-        for v in (True, 2.5, low - 1):
-            cases.append((label.format(v), lambda make=make, v=v: make(v)))
-    complex_data = (("1j", 1j, lambda s: 0.3j),
-                    ("complex128", np.complex128(0.5 + 1j),
-                     lambda s: np.complex128(0.15 + 0.3j)),
-                    ("complex array", np.array([0.5, 0.3 + 1j]),
-                     lambda s: 0.3 * np.exp(1j * s)))
-    for name, v, fn in complex_data:
-        w = ns.WeightFunction.from_callable(fn)
-        cases += [
-            (f"NonlocalProblem(u0={name})",
-             lambda v=v: ns.NonlocalProblem(op=op, T=T, w=zero, u0=v)),
-            (f"reference_solution(u0={name})",
-             lambda v=v: ns.reference_solution(op, zero, T, v, 0.5)),
-            (f"DiagonalOperator({name})", lambda v=v: ns.DiagonalOperator(v)),
-            (f"WeightFunction.constant({name})", lambda v=v: ns.WeightFunction.constant(v)),
-            (f"WeightFunction.polynomial({name})",
-             lambda v=v: ns.WeightFunction.polynomial(np.atleast_1d(v))),
-            (f"solve_at(w={name})", lambda w=w: solve(w=w)),
-            (f"weight_laplace_integral(w={name})",
-             lambda w=w: ns.oracle.weight_laplace_integral(w, 2.0, T)),
-            (f"reference_solution(w={name})",
-             lambda w=w: ns.reference_solution(op, w, T, u0, 0.5)),
-        ]
-    cases += [
-        ("NonlocalProblem(T=-1.0)", lambda: ns.NonlocalProblem(op=op, T=-1.0, w=zero, u0=u0)),
-        ("NonlocalProblem(T=inf)",
-         lambda: ns.NonlocalProblem(op=op, T=math.inf, w=zero, u0=u0)),
-        ("solve_at(t=-1.0)", lambda: solve(t=-1.0)),
-        ("solve_at(t=nan)", lambda: solve(t=math.nan)),
-        ("solve_at(t=array([0.5]))", lambda: solve(t=np.array([0.5]))),
-        ("solve_at(t=10**400)", lambda: solve(t=10**400)),
-        ("SpectralBounds(rho0=0.0)", lambda: ns.SpectralBounds(rho0=0.0)),
-        ("SpectralBounds(rho0=inf)", lambda: ns.SpectralBounds(rho0=math.inf)),
-        ("make_self_adjoint_contour(0.0)", lambda: ns.make_self_adjoint_contour(0.0)),
-        ("make_self_adjoint_contour(nan)", lambda: ns.make_self_adjoint_contour(math.nan)),
-        ("SolverConfig(rho1=-1.0)", lambda: ns.SolverConfig(rho1=-1.0)),
-        ("solve_at(rho1=rho0)", lambda: solve(rho1=2.0)),
-        ("SolverConfig(n=129)", lambda: ns.SolverConfig(n=129)),
-        ("WindowStep(0.0)", lambda: ns.WindowStep(0.0)),
-        ("FixedStep(inf)", lambda: ns.FixedStep(math.inf)),
-        ("DiagonalOperator([])", lambda: ns.DiagonalOperator([])),
-        ("weight_laplace_integral(lam=[])",
-         lambda: ns.oracle.weight_laplace_integral(zero, [], T)),
-        ("WeightFunction.polynomial([])", lambda: ns.WeightFunction.polynomial([])),
-        ("WeightFunction.constant(nan)", lambda: ns.WeightFunction.constant(math.nan)),
-    ]
-    return cases
-
-
 def _cli_refusals(cli, workdir):
     """(label, outcome) for every config form that --refusals feeds to the CLI,
     each as the only bad key of an otherwise valid solve config."""
@@ -267,9 +198,9 @@ def _cli_refusals(cli, workdir):
 
 
 def refusals(src):
-    sys.path.insert(0, src)
-    import nonlocalsolver as ns
+    sys.path[:0] = [src, TESTS]
     from nonlocalsolver import cli
+    from test_inputs import cases
 
     digest = hashlib.sha256()
 
@@ -278,7 +209,7 @@ def refusals(src):
         print(line)
         digest.update(f"{line}\n".encode())
 
-    for label, call in _refusal_cases(ns):
+    for label, call in cases():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
