@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, positive_finite
+from .errors import ConfigError, positive_finite, real_number
 
 
 @dataclass(frozen=True)
@@ -27,7 +27,7 @@ class SpectralBounds:
 
     def __post_init__(self):
         positive_finite("rho0", self.rho0)
-        if isinstance(self.phi, bool) or not (0.0 <= self.phi < math.pi / 2):
+        if not (0.0 <= real_number("phi", self.phi) < math.pi / 2):
             raise ValueError(f"phi must lie in [0, pi/2), got {self.phi}")
 
     @property

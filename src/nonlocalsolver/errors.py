@@ -1,6 +1,7 @@
-"""Exception types, and the three input rules shared across the package."""
+"""Exception types, and the four input rules shared across the package."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -17,13 +18,24 @@ class NumericalError(RuntimeError):
     """A numerical procedure failed (singular solve, no convergence)."""
 
 
+def real_number(name, v):
+    """float(v) for a real number v in the float range; a 0-d array is its one element.
+    numbers.Real leaves out numpy's bool, Decimal and complex; float skips the slow ABC."""
+    if isinstance(v, np.ndarray) and not v.ndim:
+        v = v[()]
+    if isinstance(v, (float, numbers.Real)) and not isinstance(v, bool):
+        try:
+            return float(v)
+        except OverflowError:  # an int past the float range
+            pass
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name} must be real")
+    shown = v if isinstance(v, np.ndarray) else repr(v)
+    raise ValueError(f"{name} must be a real number in the float range, got {shown}")
+
+
 def positive_finite(name, v):
-    if isinstance(v, np.ndarray):  # checked at its extremes: a NaN anywhere makes both NaN
-        if v.size == 0:
-            raise ValueError(f"{name} must be nonempty")
-        positive_finite(name, v.min())
-        positive_finite(name, v.max())
-    elif isinstance(v, bool) or not (0.0 < v < math.inf):
+    if not (0.0 < real_number(name, v) < math.inf):
         raise ValueError(f"{name} must be positive and finite, got {v}")
     return v
 
@@ -35,11 +47,9 @@ def count(name, v, low):
 
 
 def real_array(name, v):
-    # numpy's cast would only warn and keep the real part, read a bool as 1 and
-    # parse a string; the folded sum needs real numbers
+    # numpy's cast would only warn and keep the real part, and parse a string;
+    # the folded sum needs real numbers
     a = np.asarray(v)
-    if np.iscomplexobj(a):
-        raise ValueError(f"{name} must be real")
-    if isinstance(v, bool) or a.dtype.kind not in "biuf":  # a bool array is numpy's 0 and 1
-        raise ValueError(f"{name} must be a real number or array, got {v!r}")
+    if not a.ndim or a.dtype.kind not in "biuf":  # a bool array of ndim >= 1 is numpy's 0 and 1
+        return np.asarray(real_number(name, v))  # a real 0-d v, or a refusal
     return np.asarray(a, dtype=float)

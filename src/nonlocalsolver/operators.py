@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .contour import SpectralBounds
-from .errors import NumericalError, count, positive_finite, real_array
+from .errors import NumericalError, count, positive_finite, real_array, real_number
 
 
 class SectorialOperator(ABC):
@@ -45,30 +45,31 @@ class SectorialOperator(ABC):
         """The state whose coefficients are c, along the last axis."""
         return c
 
-    def _count(self, z, v):
-        """Validate z and the length of v, and count one resolvent solve."""
-        if not isinstance(z, complex) and isinstance(z, (bool, str)):  # complex() reads both
-            raise ValueError(f"resolvent needs a number z, got {z!r}")
+    def _checked(self, z, v):
+        """z as a finite complex number, and v as a complex state of length dim."""
+        if not isinstance(z, (complex, np.complexfloating)):  # solver nodes are np.complex128
+            z = real_number("resolvent z, unless complex,", z)
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"resolvent needs a finite z, got {z}")
         v = np.asarray(v, dtype=complex)
         if v.shape != (self.dim,):
             raise ValueError(f"state length {v.shape} does not match dim {self.dim}")
-        self.resolvent_calls += 1
         return z, v
 
     def resolvent_apply(self, z: complex, v) -> np.ndarray:
         """Solve (zI - A) u = v for a finite z."""
-        z, v = self._count(z, v)
+        z, v = self._checked(z, v)
+        self.resolvent_calls += 1
         return self.from_modal(self._resolvent(z, self.to_modal(v)))
 
     def modified_resolvent_apply(self, z: complex, c) -> np.ndarray:
         """Apply (zI - A)^{-1} - I/z, which decays like |z|^{-2} on the contour,
         to modal coefficients c; the result is modal coefficients too."""
+        z, c = self._checked(z, c)
         if z == 0:
             raise ValueError("modified resolvent is undefined at z = 0")
-        z, c = self._count(z, c)
+        self.resolvent_calls += 1
         return self._resolvent(z, c) - c * (1 / z)
 
 
@@ -81,7 +82,8 @@ class DiagonalOperator(SectorialOperator):
         lam = real_array("eigenvalues", eigenvalues)
         if lam.ndim != 1 or lam.size == 0:
             raise ValueError("eigenvalues must be a nonempty 1-d sequence")
-        positive_finite("all eigenvalues", lam)
+        positive_finite("all eigenvalues", lam.min())  # a NaN anywhere makes both NaN
+        positive_finite("all eigenvalues", lam.max())
         if not np.all(np.diff(lam) >= 0):
             raise ValueError("eigenvalues must be ascending")
         self.eigenvalues = lam

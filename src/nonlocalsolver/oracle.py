@@ -32,7 +32,11 @@ def weight_laplace_integral(w: WeightFunction, lam, T: float):
     1, 2, 4, ... lam have their panels halved until each sum moves by < 1e-14,
     relative; a sum not finite or unsettled after _HALVINGS halvings raises NumericalError.
     """
-    lams = positive_finite("lam", real_array("lam", lam).ravel())
+    lams = real_array("lam", lam).ravel()
+    if lams.size == 0:
+        raise ValueError("lam must be nonempty")
+    positive_finite("lam", lams.min())  # a NaN anywhere makes both NaN
+    positive_finite("lam", lams.max())
     positive_finite("horizon T", T)
     J = [math.inf] * lams.size  # each lam's last sum; live: a group's unsettled lam
     for live in np.split(np.argsort(lams), 2 ** np.arange((lams.size - 1).bit_length())):

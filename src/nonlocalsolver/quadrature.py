@@ -8,7 +8,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import count, positive_finite, real_array
+from .errors import count, positive_finite, real_array, real_number
 
 # I(z) is cut at Re(z) s = _TAIL_EXPONENT: the tail beyond is at most
 # e^{-37} sup|w| / Re z, below 8.5e-17 wherever the solvability condition
@@ -64,7 +64,8 @@ class WeightFunction:
     """
 
     def __init__(self, kind, fn, label, sup_hint=None):
-        if sup_hint is not None and (isinstance(sup_hint, bool) or not 0.0 <= sup_hint < math.inf):
+        hint = None if sup_hint is None else real_number(f"weight {label}: sup|w|", sup_hint)
+        if not (hint is None or 0.0 <= hint < math.inf):
             raise ValueError(f"weight {label}: sup|w| must be finite and >= 0, got {sup_hint}")
         self.kind = kind
         self._fn = fn
@@ -83,7 +84,7 @@ class WeightFunction:
 
     @classmethod
     def constant(cls, c: float):
-        c = float(real_array("weight constant", c))
+        c = real_number("weight constant", c)
         return cls("constant", lambda s: np.full_like(s, c), f"const:{c}",
                    sup_hint=abs(c))
 

@@ -39,7 +39,6 @@ still equals solve_at bit for bit.
 """
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -47,7 +46,7 @@ import numpy as np
 
 from .contour import Contour, contour_point, make_contour
 from .errors import (ConfigError, ExistenceError, NumericalError, count, positive_finite,
-                     real_array)
+                     real_array, real_number)
 from .operators import SectorialOperator
 from .quadrature import WeightFunction, gauss_legendre, integral_bytes, nonlocal_integral
 
@@ -67,8 +66,6 @@ _NEGLIGIBLE = 2.0**-800
 # bytes a plan's real (N+1, 2, dim) node buffer and its I(z) stage may take;
 # a larger plan is refused before anything is allocated
 _NODE_BUFFER_BYTES = 2**30
-# a float subclass, which numpy compares as a float64: an np.float32 time cannot overflow it
-_FLOAT_MAX = type("FloatMax", (float,), {})(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -80,7 +77,7 @@ class UniformStep:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
+        if not (0.0 < real_number("alpha", self.alpha) < 1.0):
             raise ValueError(f"alpha must lie in (0,1), got {self.alpha}")
 
     def step_size(self, contour, N):
@@ -172,7 +169,7 @@ class SolverConfig:
         count("N", self.N, 0)
         if self.n > MAX_GAUSS_ORDER:  # leggauss(n + 1) builds a dense (n+1)^2 matrix
             raise ValueError(f"n must be <= {MAX_GAUSS_ORDER}, got {self.n}")
-        if isinstance(self.rho1, bool) or not (0.0 <= self.rho1 < math.inf):
+        if not (0.0 <= real_number("rho1", self.rho1) < math.inf):
             raise ValueError(f"rho1 must be finite and >= 0, got {self.rho1}")
         if not hasattr(self.step, "step_size"):
             raise ValueError(f"unknown step mode {self.step!r}")
@@ -302,13 +299,11 @@ def _modal_rows(op: SectorialOperator, u0: np.ndarray, z: np.ndarray, fold: bool
 
 
 def _times(ts):
-    """The times as given, in a list and a float array: numbers >= 0 that fit a float."""
+    """The times as given, in a list and a float array: real numbers >= 0."""
     ts = list(ts)
     for t in ts:
-        if isinstance(t, bool) or getattr(t, "ndim", 0) or not (t >= 0):  # np.ndim: 1 us each
+        if not real_number("time", t) >= 0:
             raise ValueError(f"time must be a nonnegative number, got {t}")
-        if math.inf > t > _FLOAT_MAX:
-            raise ValueError(f"time is beyond the float range, got {t}")
     return ts, np.array(ts, dtype=float)
 
 

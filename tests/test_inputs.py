@@ -1,7 +1,8 @@
 """The one list of bad inputs to the public constructors and entry points, a
 row of a table below for each: a count must be an integer at or above its
 bound; problem data must be real and nonempty; a value must lie in its range;
-and a bool or a string is never read as a number. Each bad input raises
+and a bool (Python's or numpy's), a string, a Decimal or an int past the float
+range is never read as a number. Each bad input raises
 ValueError that starts with its field's name, and no warning comes first (a
 ComplexWarning once cut complex data to its real part).
 
@@ -12,6 +13,8 @@ be compared row by row."""
 import itertools
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +27,7 @@ from nonlocalsolver import (
     SineSpectralOperator,
     SolverConfig,
     SpectralBounds,
+    UniformStep,
     WeightFunction,
     WindowStep,
     gauss_legendre,
@@ -125,9 +129,70 @@ VALUES = [
     ("problem-u0=str", "u0", lambda: _problem(u0=["1.0", "0.0"])),
     ("resolvent-z=str", "resolvent", lambda: OP.resolvent_apply("3", U0)),
     ("modified-z=str", "resolvent", lambda: OP.modified_resolvent_apply("3+1j", U0)),
+    # a numpy bool is a bool, and False is refused before the modified resolvent's z = 0
+    ("solve_at-t=np.True_", "time", lambda: _solve(np.True_)),
+    ("solve_many-t=np.True_", "time",
+     lambda: solve_many(_problem(), SolverConfig(), [0.5, np.True_])),
+    ("reference-t=np.True_", "time", lambda: reference_solution(OP, ZERO, T, U0, np.True_)),
+    ("problem-T=np.True_", "horizon T", lambda: _problem(T=np.True_)),
+    ("integral-T=np.True_", "horizon T",
+     lambda: nonlocal_integral(gauss_legendre(8), ZERO, np.True_, 2.0)),
+    ("laplace-T=np.True_", "horizon T",
+     lambda: weight_laplace_integral(WeightFunction.cos(), 2.0, np.True_)),
+    ("reference-T=np.True_", "horizon T",
+     lambda: reference_solution(OP, ZERO, np.True_, U0, 0.5)),
+    ("config-rho1=np.True_", "rho1", lambda: SolverConfig(rho1=np.True_)),
+    ("config-rho1=np.False_", "rho1", lambda: SolverConfig(rho1=np.False_)),
+    ("bounds-rho0=np.True_", "rho0", lambda: SpectralBounds(rho0=np.True_)),
+    ("bounds-phi=np.True_", "phi", lambda: SpectralBounds(2.0, phi=np.True_)),
+    ("bounds-phi=np.False_", "phi", lambda: SpectralBounds(2.0, phi=np.False_)),
+    ("contour-rho0=np.True_", "rho0", lambda: make_self_adjoint_contour(np.True_)),
+    ("window-t_min=np.True_", "t_min", lambda: WindowStep(np.True_)),
+    ("fixed-h=np.True_", "step size", lambda: FixedStep(np.True_)),
+    ("uniform-alpha=np.True_", "alpha", lambda: UniformStep(alpha=np.True_)),
+    ("laplace-lam=np.True_", "lam",
+     lambda: weight_laplace_integral(WeightFunction.cos(), np.True_, T)),
+    ("constant=np.True_", "weight constant", lambda: WeightFunction.constant(np.True_)),
+    ("callable-hint=np.True_", "weight",
+     lambda: WeightFunction.from_callable(np.cos, sup_norm_hint=np.True_)),
+    ("resolvent-z=np.True_", "resolvent", lambda: OP.resolvent_apply(np.True_, U0)),
+    ("modified-z=np.True_", "resolvent", lambda: OP.modified_resolvent_apply(np.True_, U0)),
+    ("modified-z=False", "resolvent", lambda: OP.modified_resolvent_apply(False, U0)),
+    ("modified-z=np.False_", "resolvent", lambda: OP.modified_resolvent_apply(np.False_, U0)),
+    # an int past the float range is refused before any float() of it overflows
+    ("problem-T=10**400", "horizon T", lambda: _problem(T=10**400)),
+    ("integral-T=10**400", "horizon T",
+     lambda: nonlocal_integral(gauss_legendre(8), ZERO, 10**400, 2.0)),
+    ("laplace-T=10**400", "horizon T",
+     lambda: weight_laplace_integral(WeightFunction.cos(), 2.0, 10**400)),
+    ("reference-T=10**400", "horizon T", lambda: reference_solution(OP, ZERO, 10**400, U0, 0.5)),
+    ("bounds-rho0=10**400", "rho0", lambda: SpectralBounds(rho0=10**400)),
+    ("contour-rho0=10**400", "rho0", lambda: make_self_adjoint_contour(10**400)),
+    ("fixed-h=10**400", "step size", lambda: FixedStep(10**400)),
+    ("window-t_min=10**400", "t_min", lambda: WindowStep(10**400)),
+    ("callable-hint=10**400", "weight",
+     lambda: WeightFunction.from_callable(np.cos, sup_norm_hint=10**400)),
+    ("config-rho1=10**400", "rho1", lambda: SolverConfig(rho1=10**400)),
+    # more strings, and a Decimal, which numbers.Real leaves out: it does not mix with floats
+    ("problem-T=str", "horizon T", lambda: _problem(T="1.0")),
+    ("problem-T=Decimal", "horizon T", lambda: _problem(T=Decimal("0.5"))),
+    ("config-rho1=str", "rho1", lambda: SolverConfig(rho1="0.5")),
+    ("bounds-phi=str", "phi", lambda: SpectralBounds(2.0, phi="0.5")),
+    ("callable-hint=str", "weight",
+     lambda: WeightFunction.from_callable(np.cos, sup_norm_hint="1")),
+    ("uniform-alpha=str", "alpha", lambda: UniformStep(alpha="0.5")),
+    ("solve_many-t=str", "time", lambda: solve_many(_problem(), SolverConfig(), [0.5, "0.5"])),
+    # an array is not a scalar, even one with one element
+    ("problem-T=array", "horizon T", lambda: _problem(T=np.array([1.0]))),
+    ("bounds-rho0=array", "rho0", lambda: SpectralBounds(rho0=np.array([2.0, 3.0]))),
+    ("window-t_min=array", "t_min", lambda: WindowStep(np.array([0.5]))),
+    ("fixed-h=array", "step size", lambda: FixedStep(np.array([0.2]))),
+    ("uniform-alpha=1", "alpha", lambda: UniformStep(alpha=1)),
+    ("uniform-alpha=True", "alpha", lambda: UniformStep(alpha=True)),
 ]
 
-# (id, the call that takes an int, a numpy scalar or a bool array: all are numbers)
+# (id, the call that takes an int, a numpy scalar, a 0-d array, a Fraction or a
+# bool array: all are numbers)
 NUMBERS = [
     ("problem-T=int", lambda: _problem(T=1)),
     ("solve_at-t=int64", lambda: _solve(np.int64(1))),
@@ -136,6 +201,10 @@ NUMBERS = [
     ("constant=int64", lambda: WeightFunction.constant(np.int64(0))),
     ("resolvent-z=int", lambda: OP.resolvent_apply(3, U0)),
     ("weight=bool-array", lambda: _solve(w=WeightFunction.from_callable(lambda s: s < 0.5))),
+    ("solve_at-t=0d-array", lambda: _solve(np.array(0.5))),
+    ("solve_at-T=Fraction",
+     lambda: solve_at(_problem(T=Fraction(1, 2)), SolverConfig(n=8, N=16), 0.5)),
+    ("config-rho1=float32", lambda: SolverConfig(rho1=np.float32(0.5))),
 ]
 
 

@@ -57,6 +57,25 @@ def test_module_level_names_are_used():
     assert unused == []
 
 
+def test_only_errors_tests_for_a_bool():
+    # errors.real_number decides what counts as a real number, and errors.count
+    # what counts as an integer: no other module tests for a bool, either as an
+    # isinstance or issubclass of bool or through numpy's bool type
+    found = []
+    for path in sorted((ROOT / "src" / "nonlocalsolver").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in ("bool_", "bool"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  in ("isinstance", "issubclass") and len(node.args) == 2
+                  and any(isinstance(n, ast.Name) and n.id == "bool"
+                          for n in ast.walk(node.args[1]))):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_result_fields_are_read():
     # no dead diagnostic: every field of the records a solve returns is read
     # as an attribute somewhere in src/ or named in a README backquote span

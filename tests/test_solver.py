@@ -283,7 +283,7 @@ class TestSolveAt:
             for ts in ([0.1, t], [0.0, 1.0, t, 0.5], [math.inf] * 9 + [t]):
                 with pytest.raises(ValueError, match=f"got {t}$"):
                     solve_many(problem, SolverConfig(n=4, N=8), ts)
-        with pytest.raises(TypeError):  # a string is not parsed as a time
+        with pytest.raises(ValueError, match="^time "):  # a string is not parsed as a time
             solve_many(problem, SolverConfig(n=4, N=8), [0.5, "0.5"])
         # an array is not a time, even one with one element
         with pytest.raises(ValueError, match=r"got \[0.5\]$"):
