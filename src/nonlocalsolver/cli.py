@@ -107,6 +107,15 @@ class RunConfig:
         self.step = _at("step_mode", _parse_step, raw["step_mode"], self.ts)
 
 
+def _read(path, what):
+    """The text of the file at path, decoded as UTF-8 with a leading BOM skipped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ConfigError(f"cannot read {what} {path!r}: {e}") from None
+
+
 def _form(spec, forms, what, expected):
     """forms[NAME]() for a spec NAME, forms["NAME:"](ARG) for a spec NAME:ARG."""
     name, colon, arg = spec.partition(":")
@@ -189,12 +198,8 @@ def _build_u0(spec, op):
     forms = {"sine:": sine, "poly_x2_1mx": poly_x2_1mx}
     if spec.partition(":")[0] in {form.rstrip(":") for form in forms}:  # else a file path
         return _form(spec, forms, "form", "sine:K, poly_x2_1mx or a file path")
-    where = f" in file {spec!r}"
-    try:
-        with open(spec) as fh:
-            vals = [_real(v, source=where) for v in map(str.strip, fh) if v]
-    except OSError as e:
-        raise ValueError(f"cannot read file {spec!r}: {e}") from None
+    lines = map(str.strip, _read(spec, "file").splitlines())
+    vals = [_real(v, source=f" in file {spec!r}") for v in lines if v]
     return np.asarray(vals)  # NonlocalProblem checks its length
 
 
@@ -315,12 +320,7 @@ def _main(argv):
     args = _parser().parse_args(argv)
 
     if args.command == "solve":
-        try:
-            with open(args.config, encoding="utf-8-sig") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise ConfigError(f"cannot read config {args.config!r}: {e}")
-        rc = parse_config(text)
+        rc = parse_config(_read(args.config, "config"))
         rows = run_solve(rc)
     else:  # reproduce one N, or converge over a list of them
         n = _at("--n", SolverConfig, n=args.n).n

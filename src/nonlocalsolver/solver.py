@@ -146,6 +146,10 @@ class NonlocalProblem:
     u0: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.op, SectorialOperator):
+            raise ValueError(f"op must be a SectorialOperator, got {type(self.op).__name__}")
+        if not isinstance(self.w, WeightFunction):
+            raise ValueError("w must be a WeightFunction: see WeightFunction.from_callable")
         positive_finite("horizon T", self.T)
         self.u0 = real_array("u0", self.u0)
         if self.u0.shape != (self.op.dim,):
@@ -309,6 +313,8 @@ def _times(ts):
 
 def _solve(problem: NonlocalProblem, config: SolverConfig, ts) -> list:
     """The samples of ts from the three stages of the module docstring."""
+    if not isinstance(config, SolverConfig):
+        raise ValueError(f"config must be a SolverConfig, got {type(config).__name__}")
     ts, t = _times(ts)
     report, h, z, coef = _nodes(problem, config)
     if not ts:  # _nodes refused what it would refuse for any times; no solve is needed

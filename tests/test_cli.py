@@ -340,6 +340,9 @@ class TestMain:
         ("diagonal:5,9", "poly_x2_1mx", "config error: key u0: poly_x2_1mx is not defined"),
         ("diagonal:5,9", "sine:3", "config error: key u0: mode 3 outside 1..2"),
         ("diagonal:5,9", "{}/missing.txt", "config error: key u0: cannot read file"),
+        # a u0 file is decoded as a config file is, whatever the locale
+        ("diagonal:5,9", "latin1.txt", "config error: key u0: cannot read file 'latin1.txt': "
+         "'utf-8' codec can't decode"),
         ("diagonal:5,9", "{}/short.txt",
          "config error: key u0: u0 length (1,) does not match operator dim 2"),
         ("diagonal:5,9", "{}/nan.txt", "config error: key u0: u0 must be finite"),
@@ -353,12 +356,13 @@ class TestMain:
         ("diagonal:5,9", "./sine",
          "config error: key u0: u0 length (1,) does not match operator dim 2"),
     ], ids=["unknown-kind", "poly-diagonal", "sine-out-of-range", "file-missing",
-            "file-short", "file-nan", "sine-without-mode", "poly-with-argument",
-            "sine-empty-mode", "file-named-sine"])
+            "file-not-utf8", "file-short", "file-nan", "sine-without-mode",
+            "poly-with-argument", "sine-empty-mode", "file-named-sine"])
     def test_operator_and_u0_refusal_exit_code(self, tmp_path, capsys, monkeypatch,
                                                operator, u0, message):
         (tmp_path / "short.txt").write_text("1\n")
         (tmp_path / "nan.txt").write_text("1\nnan\n")
+        (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe1\n")
         (tmp_path / "sine").write_text("1\n")  # read for ./sine, never for sine
         monkeypatch.chdir(tmp_path)
         code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
@@ -632,6 +636,19 @@ class TestMain:
         cfg.write_text(text, encoding="utf-8-sig")
         assert cfg.read_bytes()[:3] == b"\xef\xbb\xbf"
         code, *got = _solve_config(capsys, cfg, None)
+        assert code == 0
+        assert got == want
+
+    def test_u0_file_with_byte_order_mark(self, tmp_path, capsys):
+        # a u0 file is read as a config file is: as UTF-8, a leading U+FEFF skipped
+        data, text = tmp_path / "u0.txt", "1.0\n0.5\n"
+        cfg = BASE.replace("diagonal:1", "diagonal:5,9").replace("sine:1", str(data))
+        data.write_text(text)
+        code, *want = _solve_config(capsys, tmp_path / "p.cfg", cfg)
+        assert code == 0
+        data.write_text(text, encoding="utf-8-sig")
+        assert data.read_bytes()[:3] == b"\xef\xbb\xbf"
+        code, *got = _solve_config(capsys, tmp_path / "p.cfg", None)
         assert code == 0
         assert got == want
 

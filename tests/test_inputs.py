@@ -1,8 +1,9 @@
 """The one list of bad inputs to the public constructors and entry points, a
 row of a table below for each: a count must be an integer at or above its
 bound; problem data must be real and nonempty; a value must lie in its range;
-and a bool (Python's or numpy's), a string, a Decimal or an int past the float
-range is never read as a number. Each bad input raises
+a bool (Python's or numpy's), a string, a Decimal or an int past the float
+range is never read as a number; and a problem's op and w, and a solve's
+config, must be of their own types. Each bad input raises
 ValueError that starts with its field's name, and no warning comes first (a
 ComplexWarning once cut complex data to its real part).
 
@@ -189,6 +190,13 @@ VALUES = [
     ("fixed-h=array", "step size", lambda: FixedStep(np.array([0.2]))),
     ("uniform-alpha=1", "alpha", lambda: UniformStep(alpha=1)),
     ("uniform-alpha=True", "alpha", lambda: UniformStep(alpha=True)),
+    # a problem's operator and weight, and a solve's config, are of their own types
+    ("problem-w=np.cos", "w", lambda: _problem(w=np.cos)),
+    ("problem-w=lambda", "w", lambda: _problem(w=lambda s: 0.0)),
+    ("problem-w=None", "w", lambda: _problem(w=None)),
+    ("problem-op=np.eye(2)", "op", lambda: NonlocalProblem(op=np.eye(2), T=T, w=ZERO, u0=U0)),
+    ("solve_at-config=None", "config", lambda: solve_at(_problem(), None, 0.5)),
+    ("solve_many-config=None", "config", lambda: solve_many(_problem(), None, [0.5])),
 ]
 
 # (id, the call that takes an int, a numpy scalar, a 0-d array, a Fraction or a

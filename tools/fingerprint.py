@@ -38,12 +38,13 @@ refuses, each through nonlocalsolver.cli.main(["solve", "--config", ...]) in a
 temporary directory: operator kinds that are unknown, written without their
 colon, with an empty or non-integer size, or with a bad eigenvalue; unknown
 weight and step_mode forms; a u0 sine mode out of range, empty or not an
-integer; and u0 forms written without their argument (sine) or with one they
+integer; u0 forms written without their argument (sine) or with one they
 do not take (poly_x2_1mx:3), which are refused as forms, not read as file
-paths. It prints one line per input: "test ID -> Type: message" or "test ID ->
-accepted" for a library row, "label -> exit N: <first stderr line>" for a CLI
-form, and one SHA-256 over all of them, so that two trees can be compared line
-by line.
+paths; and a u0 file that is not UTF-8, written into the temporary directory,
+whose name reads TMP in the output. It prints one line per input: "test ID ->
+Type: message" or "test ID -> accepted" for a library row, "label -> exit N:
+<first stderr line>" for a CLI form, and one SHA-256 over all of them, so that
+two trees can be compared line by line.
 """
 
 import contextlib
@@ -185,7 +186,10 @@ def _cli_refusals(cli, workdir):
         "diagonal:2,x")]
     cases += [("weight", "const"), ("weight", "sin"), ("step_mode", "fixed"),
               ("step_mode", "window:1"), ("u0", "sine:0"), ("u0", "sine:x"),
-              ("u0", "sine"), ("u0", "sine:"), ("u0", "poly_x2_1mx:3")]
+              ("u0", "sine"), ("u0", "sine:"), ("u0", "poly_x2_1mx:3"),
+              ("u0", os.path.join(workdir, "u0.txt"))]
+    with open(cases[-1][1], "wb") as fh:
+        fh.write(b"\xff\xfe1\n")  # not UTF-8
     path = os.path.join(workdir, "refused.cfg")
     for key, value in cases:
         with open(path, "w") as fh:
@@ -194,7 +198,9 @@ def _cli_refusals(cli, workdir):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = cli.main(["solve", "--config", path])
         first_line = err.getvalue().partition("\n")[0]
-        yield f"solve({key} = {value})", f"exit {code}: {first_line}"
+        # the temporary directory's name differs per run; the digest must not
+        yield (f"solve({key} = {value})".replace(workdir, "TMP"),
+               f"exit {code}: {first_line}".replace(workdir, "TMP"))
 
 
 def refusals(src):
