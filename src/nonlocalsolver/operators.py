@@ -52,7 +52,10 @@ class SectorialOperator(ABC):
         z = complex(z)
         if not cmath.isfinite(z):
             raise ValueError(f"resolvent needs a finite z, got {z}")
-        v = np.asarray(v, dtype=complex)
+        if not (isinstance(v, np.ndarray) and v.dtype == complex):  # as every solver node's is
+            if np.asarray(v).dtype.kind not in "biufc":  # no string parsed, no None read as NaN
+                raise ValueError(f"resolvent state must be numeric, got {v!r}")
+            v = np.asarray(v, dtype=complex)
         if v.shape != (self.dim,):
             raise ValueError(f"state length {v.shape} does not match dim {self.dim}")
         return z, v

@@ -48,7 +48,7 @@ def weight_laplace_integral(w: WeightFunction, lam, T: float):
                 edges = np.linspace(0.0, np.minimum(T, 50.0 / lams[part]), P + 1).T
                 half = np.diff(edges) / 2
                 x = (half[..., None] * (_PANEL_NODES + 1) + edges[:, :-1, None]).reshape(-1, 10)
-                wx = real_array(f"weight {w!r}", w(x))
+                wx = w.values(x)
                 wx = wx * np.exp(-lams[part].repeat(P)[:, None] * x)
                 values = half * np.sum(_PANEL_WEIGHTS * wx, axis=1).reshape(half.shape)
                 for k, row in zip(part, values.tolist()):

@@ -78,6 +78,13 @@ class WeightFunction:
     def __repr__(self):
         return f"WeightFunction({self.label})"
 
+    def values(self, s):
+        """w at the points s, one real value each; a single value is broadcast."""
+        v = real_array(f"weight {self!r}", self(s))
+        if v.shape not in (s.shape, ()):
+            raise ValueError(f"weight {self!r} gave {v.shape} values at {s.shape} points")
+        return np.broadcast_to(v, s.shape)
+
     @classmethod
     def zero(cls):
         return cls.constant(0.0)
@@ -185,6 +192,6 @@ def nonlocal_integral(rule: GaussRule, w: WeightFunction, T: float, z):
     inner = np.exp(np.multiply.outer(-zL, x)) * np.multiply.outer(L / 2.0, rule.weights)
     # the points of the zero-weighted panels are moved to s_max <= T
     s = np.minimum(np.multiply.outer(L, np.add.outer(p, x)), s_max[:, None, None])
-    ws = np.broadcast_to(real_array(f"weight {w!r}", w(s)), s.shape)
+    ws = w.values(s)
     out = np.matmul(outer[:, None, :], np.matmul(ws, inner[:, :, None])).reshape(z.shape)
     return out if out.ndim else complex(out)

@@ -256,7 +256,7 @@ def _nodes(problem: NonlocalProblem, config: SolverConfig):
     with np.errstate(all="ignore"):  # refused before any per-node array exists
         outer = contour_point(contour, N * h)
     if not np.isfinite([outer.z, outer.dz]).all():
-        raise ConfigError(f"outermost node z(N*h) is not finite: N = {N}, h = {h}")
+        raise ConfigError(f"outermost node z(N*h) of {contour} is not finite: N = {N}, h = {h}")
     check_node_buffer(config.n, N, problem.op.dim, problem.op.spectral.phi)
     # descending k: the terms decay with |k|, so the sums add the smallest first
     nodes = contour_point(contour, np.arange(N, -1, -1) * h)

@@ -310,83 +310,6 @@ class TestMain:
             assert code == 2
             assert "config error" in err
 
-    @pytest.mark.parametrize("extra, message", [
-        # a combination that only the plan can refuse keeps the solver's words
-        ("rho1 = 50\n", "config error: rho1 must lie in [0, rho0)"),
-        ("rho1 = nan\n", "config error: key rho1:"), ("rho1 = -1\n", "config error: key rho1:"),
-        ("rho1 = inf\n", "config error: key rho1:"),
-        # the large-t rule and its c1 key were removed: both are refused
-        ("step_mode = large_t\nN = 1\n", "config error: key step_mode: unknown mode 'large_t'"),
-        ("step_mode = large_t\nc1 = nan\n", "config error: line 7: unknown key 'c1'"),
-        ("c1 = 1\n", "config error: line 6: unknown key 'c1'"),
-        ("step_mode = bogus\n", "config error: key step_mode: unknown mode"),
-        ("step_mode = window\n", "config error: key step_mode: window needs a time"),
-        ("n = 200\n", "config error: key n:"),
-        ("step_mode = fixed:inf\n",
-         "config error: key step_mode: step size must be positive and finite"),
-    ], ids=["rho1-above-rho0", "rho1-nan", "rho1-negative", "rho1-inf", "large_t-N1",
-            "large_t-c1-nan", "c1-unknown", "step_mode-unknown", "window-t0", "n-above-max",
-            "fixed-inf"])
-    def test_contour_and_step_input_exit_code(self, tmp_path, capsys, extra, message):
-        # the window rule has no time to fit when t = 0 is the only one
-        code, _, err = _solve_config(
-            capsys, tmp_path / "bad.cfg",
-            BASE.replace("diagonal:1", "diagonal:5,9").replace("t = 0.5", "t = 0") + extra)
-        assert code == 2
-        assert err.startswith(message) and err.count("key ") <= 1
-
-    @pytest.mark.parametrize("operator, u0, message", [
-        ("bogus", "sine:1", "config error: key operator: unknown kind 'bogus'"),
-        ("diagonal:5,9", "poly_x2_1mx", "config error: key u0: poly_x2_1mx is not defined"),
-        ("diagonal:5,9", "sine:3", "config error: key u0: mode 3 outside 1..2"),
-        ("diagonal:5,9", "{}/missing.txt", "config error: key u0: cannot read file"),
-        # a u0 file is decoded as a config file is, whatever the locale
-        ("diagonal:5,9", "latin1.txt", "config error: key u0: cannot read file 'latin1.txt': "
-         "'utf-8' codec can't decode"),
-        ("diagonal:5,9", "{}/short.txt",
-         "config error: key u0: u0 length (1,) does not match operator dim 2"),
-        ("diagonal:5,9", "{}/nan.txt", "config error: key u0: u0 must be finite"),
-        # a value named sine or poly_x2_1mx is that form, never a file path
-        ("diagonal:5,9", "sine", "config error: key u0: unknown form 'sine' (expected "
-         "sine:K, poly_x2_1mx or a file path)"),
-        ("diagonal:5,9", "poly_x2_1mx:3", "config error: key u0: unknown form "
-         "'poly_x2_1mx:3' (expected sine:K, poly_x2_1mx or a file path)"),
-        ("diagonal:5,9", "sine:", "config error: key u0: expected an integer, got ''"),
-        # a file whose name is a form's is read when written as a path
-        ("diagonal:5,9", "./sine",
-         "config error: key u0: u0 length (1,) does not match operator dim 2"),
-    ], ids=["unknown-kind", "poly-diagonal", "sine-out-of-range", "file-missing",
-            "file-not-utf8", "file-short", "file-nan", "sine-without-mode",
-            "poly-with-argument", "sine-empty-mode", "file-named-sine"])
-    def test_operator_and_u0_refusal_exit_code(self, tmp_path, capsys, monkeypatch,
-                                               operator, u0, message):
-        (tmp_path / "short.txt").write_text("1\n")
-        (tmp_path / "nan.txt").write_text("1\nnan\n")
-        (tmp_path / "latin1.txt").write_bytes(b"\xff\xfe1\n")
-        (tmp_path / "sine").write_text("1\n")  # read for ./sine, never for sine
-        monkeypatch.chdir(tmp_path)
-        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                     BASE.replace("diagonal:1", operator)
-                                     .replace("sine:1", u0.format(tmp_path)))
-        assert code == 2
-        assert err.startswith(message) and err.count("key ") == 1
-
-    @pytest.mark.parametrize("eigenvalues", ["2,inf", "inf", "2,1e400", "2,nan"])
-    def test_nonfinite_eigenvalue_exit_code(self, tmp_path, capsys, eigenvalues):
-        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                     BASE.replace("diagonal:1", f"diagonal:{eigenvalues}"))
-        assert code == 2
-        assert "config error: key operator: all eigenvalues must be positive and finite" in err
-        assert err.count("key ") == 1
-
-    @pytest.mark.parametrize("weight", ["const:nan", "const:inf", "const:-inf",
-                                        "poly:nan,1", "poly:1,inf"])
-    def test_nonfinite_weight_exit_code(self, tmp_path, capsys, weight):
-        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                     BASE.replace("weight = cos", f"weight = {weight}"))
-        assert code == 2
-        assert "config error: key weight" in err and err.count("key ") == 1
-
     @pytest.mark.parametrize("weight", ["poly:1e308,1e308", "poly:1e308,-1e308,1e308"])
     def test_overflowing_weight_refused_in_silence(self, tmp_path, capsys, weight):
         # sampling w for sup|w| overflows; the inf or NaN maximum is refused
@@ -399,64 +322,6 @@ class TestMain:
         assert err == (
             "existence condition violated: solvability condition violated: "
             "sup|w| = inf >= a_I = 1.4142135623730951\n")
-
-    @pytest.mark.parametrize("operator", ["sine_spectral:8", "laplacian1d:8"],
-                             ids=["sine_spectral", "laplacian1d"])
-    def test_nonfinite_x_exit_code(self, tmp_path, capsys, operator):
-        # outside [0, 1] the grid's boundary zeros or the sine series'
-        # periodic extension would be printed as u(t, x)
-        for x in ("nan", "inf", "1.75", "-0.25"):
-            code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                         BASE.replace("diagonal:1", operator) + f"x = {x}\n")
-            assert code == 2
-            assert "config error: key x" in err and err.count("key ") == 1
-
-    @pytest.mark.parametrize("operator, extra, key", [
-        ("sine_spectral:abc", "", "operator"),
-        ("laplacian1d:abc", "", "operator"),
-        ("diagonal:1", "step_mode = uniform:abc\n", "step_mode"),
-    ], ids=["modes", "m", "alpha"])
-    def test_malformed_number_exit_code(self, tmp_path, capsys, operator, extra, key):
-        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                     BASE.replace("diagonal:1", operator) + extra)
-        assert code == 2
-        assert f"config error: key {key}: expected" in err and err.count("key ") == 1
-
-    @pytest.mark.parametrize("operator, size, key", [
-        ("sine_spectral:8", "m = 8", "m"),
-        ("laplacian1d:8", "modes = 8", "modes"),
-        ("diagonal:1", "m = 8", "m"),
-        ("diagonal:1", "modes = 8", "modes"),
-        ("diagonal:1", "alpha = 0.5", "alpha"),
-        ("diagonal:1", "out = x.csv", "out"),
-    ], ids=["sine-m", "laplacian-modes", "diagonal-m", "diagonal-modes", "diagonal-alpha",
-            "diagonal-out"])
-    def test_size_key_not_read_exit_code(self, tmp_path, capsys, operator, size, key):
-        # the size rides on the operator kind, alpha on step_mode = uniform:ALPHA and
-        # the output path on --out; the keys that once held them are refused like
-        # any unknown key
-        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                     BASE.replace("diagonal:1", operator) + size + "\n")
-        assert code == 2
-        assert err.startswith(f"config error: line 6: unknown key {key!r}")
-        assert err.count("key ") == 1
-
-    @pytest.mark.parametrize("operator, message", [
-        ("laplacian1d:1", "config error: key operator: m must be an integer >= 2, got 1"),
-        ("sine_spectral:0", "config error: key operator: modes must be an integer >= 1, got 0"),
-        # a kind without its colon is not a kind; an empty size is not an integer
-        ("laplacian1d", "config error: key operator: unknown kind 'laplacian1d' (expected "),
-        ("sine_spectral", "config error: key operator: unknown kind 'sine_spectral' (expected "),
-        ("diagonal", "config error: key operator: unknown kind 'diagonal' (expected "),
-        ("laplacian1d:", "config error: key operator: expected an integer"),
-        ("sine_spectral:", "config error: key operator: expected an integer"),
-    ], ids=["m1", "modes0", "m-missing", "modes-missing", "eigenvalues-missing", "m-empty",
-            "modes-empty"])
-    def test_size_refusal_exit_code(self, tmp_path, capsys, operator, message):
-        code, _, err = _solve_config(capsys, tmp_path / "bad.cfg",
-                                     BASE.replace("diagonal:1", operator))
-        assert code == 2
-        assert err.startswith(message) and err.count("key ") <= 1
 
     def test_bad_order_exit_code(self, capsys, monkeypatch):
         # each flag is refused under its name before any plan is built

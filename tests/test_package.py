@@ -208,8 +208,9 @@ def test_traced_benchmark_smoke(tmp_path):
 
 def test_refusal_digest_runs():
     # tools/fingerprint.py --refusals loads the rows of tests/test_inputs.py
-    # and prints one line for each, then one for each of the 21 CLI inputs and
-    # the digest; a row that it fails to load or that is accepted fails here
+    # and prints one line for each library row, then one for each refused
+    # config and the digest; a row that it fails to load, a library row that
+    # is accepted and a config that does not exit with code 2 fail here
     spec = importlib.util.spec_from_file_location("_input_rows", ROOT / "tests" / "test_inputs.py")
     rows = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(rows)
@@ -220,7 +221,9 @@ def test_refusal_digest_runs():
     assert [line for line in lines if line.endswith(" -> accepted")] == []
     library = (len(rows.COUNTS) * len(rows.BAD_COUNTS) + len(rows.DATA) * len(rows.COMPLEX)
                + len(rows.EMPTY) + len(rows.VALUES))
-    assert len(lines) == library + 21 + 1 and lines[-1].startswith("sha256 ")
+    assert len(lines) == library + len(rows.CONFIGS) + 1 and lines[-1].startswith("sha256 ")
+    configs = lines[library:-1]
+    assert [line for line in configs if " -> exit 2: " not in line] == []
 
 
 def test_readme_python_blocks_run(capsys):

@@ -338,6 +338,14 @@ class TestSolveAt:
                 tracemalloc.stop()
             assert peak < 2**20
 
+    def test_outer_node_refusal_names_the_vertex(self):
+        # at the default N the node overflows because the vertex a_I ~ 7.1e305
+        # is huge, not because N or h is
+        problem = NonlocalProblem(op=DiagonalOperator([1e306]), T=1.0,
+                                  w=WeightFunction.cos(), u0=[1.0])
+        with pytest.raises(ConfigError, match=r"Contour\(a_I=7\.07\d*e\+305, .* N = 64, h = "):
+            solve_at(problem, SolverConfig(), 0.5)
+
 
 class TestSolveMany:
     def test_singleton_matches_solve_at(self):

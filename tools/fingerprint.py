@@ -33,18 +33,13 @@ refusal contributes its error instead.
 With --refusals it feeds the bad library inputs, each row of the tables of
 tests/test_inputs.py (read from this checkout, after nonlocalsolver is
 imported from SRC_DIR), to the public constructors and entry points, with a
-warning raised as an error. It then feeds the CLI's config forms that it
-refuses, each through nonlocalsolver.cli.main(["solve", "--config", ...]) in a
-temporary directory: operator kinds that are unknown, written without their
-colon, with an empty or non-integer size, or with a bad eigenvalue; unknown
-weight and step_mode forms; a u0 sine mode out of range, empty or not an
-integer; u0 forms written without their argument (sine) or with one they
-do not take (poly_x2_1mx:3), which are refused as forms, not read as file
-paths; and a u0 file that is not UTF-8, written into the temporary directory,
-whose name reads TMP in the output. It prints one line per input: "test ID ->
-Type: message" or "test ID -> accepted" for a library row, "label -> exit N:
-<first stderr line>" for a CLI form, and one SHA-256 over all of them, so that
-two trees can be compared line by line.
+warning raised as an error. It then feeds the solve configs that the CLI
+refuses, each row of CONFIGS there, through nonlocalsolver.cli.main(["solve",
+"--config", ...]) in a temporary directory that holds the files its u0 rows
+read. It prints one line per input: "test ID -> Type: message" or "test ID ->
+accepted" for a library row, "test ID -> exit N: <first stderr line>" for a
+config, and one SHA-256 over all of them, so that two trees can be compared
+line by line.
 """
 
 import contextlib
@@ -175,38 +170,23 @@ def oracle_values(src):
     print(f"sha256 {digest.hexdigest()}")
 
 
-def _cli_refusals(cli, workdir):
-    """(label, outcome) for every config form that --refusals feeds to the CLI,
-    each as the only bad key of an otherwise valid solve config."""
-    base = {"operator": "diagonal:2,5", "T": "1.0", "weight": "cos", "u0": "sine:1",
-            "t": "0.5"}
-    cases = [("operator", v) for v in (
-        "bogus", "bogus:1", "diagonal", "laplacian1d", "sine_spectral", "diagonal:",
-        "laplacian1d:", "sine_spectral:", "laplacian1d:2.5", "sine_spectral:abc",
-        "diagonal:2,x")]
-    cases += [("weight", "const"), ("weight", "sin"), ("step_mode", "fixed"),
-              ("step_mode", "window:1"), ("u0", "sine:0"), ("u0", "sine:x"),
-              ("u0", "sine"), ("u0", "sine:"), ("u0", "poly_x2_1mx:3"),
-              ("u0", os.path.join(workdir, "u0.txt"))]
-    with open(cases[-1][1], "wb") as fh:
-        fh.write(b"\xff\xfe1\n")  # not UTF-8
-    path = os.path.join(workdir, "refused.cfg")
-    for key, value in cases:
-        with open(path, "w") as fh:
-            fh.writelines(f"{k} = {v}\n" for k, v in {**base, key: value}.items())
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = cli.main(["solve", "--config", path])
-        first_line = err.getvalue().partition("\n")[0]
-        # the temporary directory's name differs per run; the digest must not
-        yield (f"solve({key} = {value})".replace(workdir, "TMP"),
-               f"exit {code}: {first_line}".replace(workdir, "TMP"))
+def _cli_refusals(rows):
+    """(test ID, outcome) of every row of rows.CONFIGS, run in a temporary directory."""
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)  # the u0 rows name their files relative to it
+        try:
+            for label, keys in rows.config_cases():
+                code, err = rows.solve_config(keys)
+                first_line = err.partition("\n")[0]
+                yield label, f"exit {code}: {first_line}"
+        finally:
+            os.chdir(cwd)
 
 
 def refusals(src):
     sys.path[:0] = [src, TESTS]
-    from nonlocalsolver import cli
-    from test_inputs import cases
+    import test_inputs as rows
 
     digest = hashlib.sha256()
 
@@ -215,7 +195,7 @@ def refusals(src):
         print(line)
         digest.update(f"{line}\n".encode())
 
-    for label, call in cases():
+    for label, call in rows.cases():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             try:
@@ -224,9 +204,8 @@ def refusals(src):
             except Exception as e:  # the refusal is the output
                 outcome = f"{type(e).__name__}: {e}"
         report(label, outcome)
-    with tempfile.TemporaryDirectory() as workdir:
-        for label, outcome in _cli_refusals(cli, workdir):
-            report(label, outcome)
+    for label, outcome in _cli_refusals(rows):
+        report(label, outcome)
     print(f"sha256 {digest.hexdigest()}")
 
 
